@@ -7,6 +7,7 @@
 #include "circuit/devices/passive.hpp"
 #include "circuit/devices/sources.hpp"
 #include "circuit/matrix.hpp"
+#include "circuit/mna.hpp"
 #include "circuit/transient.hpp"
 #include "core/chip.hpp"
 #include "core/measurement.hpp"
@@ -99,6 +100,46 @@ void BM_TransientStepRcLadder(benchmark::State& state) {
         benchmark::Counter(static_cast<double>(state.iterations()) * 0.1);
 }
 BENCHMARK(BM_TransientStepRcLadder);
+
+// One Newton iteration on the real chip at a running state: stamp every
+// device, then solve.  Arg 0 solves with MnaSystem::solve (the sparse LU
+// replaying its cached elimination plan), arg 1 with the dense
+// lu_solve_in_place reference on the same assembled system.
+void BM_ChipNewtonIteration(benchmark::State& state) {
+    const bool dense = state.range(0) != 0;
+    core::RfAbmChip chip{core::RfAbmChipConfig{}};
+    core::MeasurementController ctl(chip);
+    ctl.open_session();
+    chip.set_rf(-7.0, 1.5e9);
+    circuit::TransientEngine& engine = chip.engine();
+    engine.run_for(10e-9);
+    Circuit& ckt = chip.circuit();
+    circuit::StampContext ctx;
+    ctx.mode = circuit::AnalysisMode::kTransient;
+    ctx.x = &engine.solution();
+    ctx.dt = engine.options().dt;
+    ctx.time = engine.time() + ctx.dt;
+    ctx.method = engine.options().method;
+    ctx.gmin = engine.options().gmin;
+    circuit::MnaSystem sys;
+    std::vector<double> x;
+    for (auto _ : state) {
+        sys.reset(ckt.num_nodes(), ckt.num_branches());
+        for (const auto& dev : ckt.devices()) dev->stamp(sys, ctx);
+        if (dense) {
+            x = sys.rhs();
+            circuit::lu_solve_in_place(sys.matrix(), x);
+        } else {
+            sys.solve(x);
+        }
+        benchmark::DoNotOptimize(x.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(dense ? "dense lu_solve_in_place" : "MnaSystem::solve");
+    state.SetItemsProcessed(state.iterations());
+    state.counters["unknowns"] = static_cast<double>(sys.dimension());
+}
+BENCHMARK(BM_ChipNewtonIteration)->Arg(0)->Arg(1);
 
 void BM_TransientStepFullChip(benchmark::State& state) {
     core::RfAbmChip chip{core::RfAbmChipConfig{}};

@@ -3,7 +3,8 @@
 // Devices stamp conductances, currents and branch equations into an MnaSystem
 // (real, for DC/transient Newton iterations) or a ComplexMna (for AC
 // small-signal analysis).  Ground rows/columns are suppressed at stamp time so
-// devices never special-case node 0.
+// devices never special-case node 0.  Every stamp also marks the entry it
+// writes in a touched pattern, which MnaSystem::solve hands to its sparse LU.
 #pragma once
 
 #include <complex>
@@ -31,9 +32,11 @@ class MnaBase {
         if (a_.rows() != n) {
             a_.resize(n, n);
             b_.assign(n, T{});
+            touched_.reset(n);
         } else {
             a_.clear();
             std::fill(b_.begin(), b_.end(), T{});
+            touched_.clear();
         }
     }
 
@@ -53,11 +56,11 @@ class MnaBase {
     void add_conductance(NodeId a, NodeId b, T g) {
         const auto ia = node_index(a);
         const auto ib = node_index(b);
-        if (ia >= 0) a_(ia, ia) += g;
-        if (ib >= 0) a_(ib, ib) += g;
+        if (ia >= 0) at(ia, ia) += g;
+        if (ib >= 0) at(ib, ib) += g;
         if (ia >= 0 && ib >= 0) {
-            a_(ia, ib) -= g;
-            a_(ib, ia) -= g;
+            at(ia, ib) -= g;
+            at(ib, ia) -= g;
         }
     }
 
@@ -68,10 +71,10 @@ class MnaBase {
         const auto ion = node_index(out_n);
         const auto icp = node_index(cp);
         const auto icn = node_index(cn);
-        if (iop >= 0 && icp >= 0) a_(iop, icp) += g;
-        if (iop >= 0 && icn >= 0) a_(iop, icn) -= g;
-        if (ion >= 0 && icp >= 0) a_(ion, icp) -= g;
-        if (ion >= 0 && icn >= 0) a_(ion, icn) += g;
+        if (iop >= 0 && icp >= 0) at(iop, icp) += g;
+        if (iop >= 0 && icn >= 0) at(iop, icn) -= g;
+        if (ion >= 0 && icp >= 0) at(ion, icp) -= g;
+        if (ion >= 0 && icn >= 0) at(ion, icn) += g;
     }
 
     /// Constant current @p i flowing from node @p a to node @p b through the
@@ -86,7 +89,7 @@ class MnaBase {
     /// Raw diagonal add (gmin stepping).
     void add_node_diagonal(NodeId node, T g) {
         const auto i = node_index(node);
-        if (i >= 0) a_(i, i) += g;
+        if (i >= 0) at(i, i) += g;
     }
 
     /// Branch stamping primitives -------------------------------------------
@@ -94,18 +97,18 @@ class MnaBase {
     /// KCL coupling: branch current @p sign * i(branch) leaves node @p node.
     void add_branch_to_node(NodeId node, std::size_t branch, T sign) {
         const auto in = node_index(node);
-        if (in >= 0) a_(in, branch_index(branch)) += sign;
+        if (in >= 0) at(in, branch_index(branch)) += sign;
     }
 
     /// Branch-equation coefficient on a node voltage.
     void add_node_to_branch(std::size_t branch, NodeId node, T coeff) {
         const auto in = node_index(node);
-        if (in >= 0) a_(branch_index(branch), in) += coeff;
+        if (in >= 0) at(branch_index(branch), in) += coeff;
     }
 
     /// Branch-equation coefficient on a branch current.
     void add_branch_to_branch(std::size_t eq_branch, std::size_t cur_branch, T coeff) {
-        a_(branch_index(eq_branch), branch_index(cur_branch)) += coeff;
+        at(branch_index(eq_branch), branch_index(cur_branch)) += coeff;
     }
 
     /// Branch-equation right-hand side.
@@ -117,17 +120,41 @@ class MnaBase {
     std::vector<T>& rhs() { return b_; }
     const DenseMatrix<T>& matrix() const { return a_; }
     const std::vector<T>& rhs() const { return b_; }
+    /// Entries stamped since the last reset().
+    const SparsityPattern& touched() const { return touched_; }
 
   private:
+    T& at(std::ptrdiff_t r, std::ptrdiff_t c) {
+        const auto row = static_cast<std::size_t>(r);
+        const auto col = static_cast<std::size_t>(c);
+        touched_.mark(row, col);
+        return a_(row, col);
+    }
+
     std::size_t num_nodes_ = 1;
     DenseMatrix<T> a_;
     std::vector<T> b_;
+    SparsityPattern touched_;
 };
 
 }  // namespace detail
 
-/// Real MNA system used by DC and transient Newton iterations.
-using MnaSystem = detail::MnaBase<double>;
+/// Real MNA system used by DC and transient Newton iterations.  It keeps the
+/// elimination plan of its sparse LU across reset(), so a Newton loop or a
+/// transient engine that reuses one system replays the plan on every solve.
+class MnaSystem : public detail::MnaBase<double> {
+  public:
+    /// Solve the assembled system into @p x with a partial-pivoting LU
+    /// bit-identical to lu_solve_in_place (see SparseLu).  Consumes the
+    /// assembled matrix and right-hand side; reset() before stamping again.
+    /// Throws SingularMatrixError.
+    void solve(std::vector<double>& x) { lu_.solve(matrix(), rhs(), touched(), x); }
+
+    const SparseLu& lu() const { return lu_; }
+
+  private:
+    SparseLu lu_;
+};
 
 /// Complex MNA system used by AC small-signal analysis.
 using ComplexMna = detail::MnaBase<std::complex<double>>;

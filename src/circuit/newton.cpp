@@ -53,9 +53,8 @@ NewtonOutcome newton_iterate(Circuit& circuit, StampContext ctx, Solution& x,
                 scratch.add_node_diagonal(n, options.extra_diag_gmin);
             }
         }
-        candidate = scratch.rhs();
         try {
-            lu_solve_in_place(scratch.matrix(), candidate);
+            scratch.solve(candidate);
         } catch (const SingularMatrixError&) {
             outcome.singular = true;
             return outcome;

@@ -181,6 +181,29 @@ TEST(Convergence, NonFiniteSourceFailsFastWithLocation) {
     }
 }
 
+TEST(Convergence, NonFiniteDiagnosticNamesThePoisonedSubcircuit) {
+    // Two disjoint R-diode subcircuits, the second driven by a NaN source.
+    // The poison must stay in the subcircuit it enters, so the first
+    // non-finite unknown (the reported location) belongs to it, not to the
+    // healthy subcircuit that precedes it in unknown order.
+    Circuit ckt;
+    const NodeId in1 = ckt.node("in1");
+    const NodeId a1 = ckt.node("a1");
+    const NodeId in2 = ckt.node("in2");
+    const NodeId a2 = ckt.node("a2");
+    ckt.add<VSource>("V1", in1, kGround, Waveform::dc(1.0));
+    ckt.add<Resistor>("R1", in1, a1, 100.0);
+    ckt.add<Diode>("D1", a1, kGround);
+    ckt.add<VSource>("V2", in2, kGround, Waveform::dc(std::nan("")));
+    ckt.add<Resistor>("R2", in2, a2, 100.0);
+    ckt.add<Diode>("D2", a2, kGround);
+    const DcOutcome out = try_solve_dc(ckt);
+    ASSERT_FALSE(out.ok);
+    EXPECT_TRUE(out.diagnostics.non_finite);
+    const std::string& where = out.diagnostics.worst_unknown;
+    EXPECT_TRUE(where == "node 'in2'" || where == "node 'a2'") << where;
+}
+
 TEST(Convergence, NonFiniteDuringTransientIsLocatedAndNotSubdivided) {
     // The engine starts healthy (DC op at t=0 is finite), then the stimulus
     // goes NaN mid-run: advance() must raise the located non-finite error

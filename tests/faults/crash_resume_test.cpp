@@ -43,8 +43,13 @@ bool died_by_sigkill(int status) {
 class CrashResumeTest : public ::testing::TestWithParam<int> {
   protected:
     void SetUp() override {
-        const std::string stem = ::testing::TempDir() + "rfabm_crashresume_j" +
-                                 std::to_string(GetParam()) + "_";
+        // One stem per test case (the name already encodes the jobs param),
+        // so ctest -j runs of sibling cases never share journals.
+        std::string name = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+        for (char& c : name) {
+            if (c == '/') c = '_';
+        }
+        const std::string stem = ::testing::TempDir() + "rfabm_crashresume_" + name + "_";
         clean_journal = stem + "clean.wal";
         crash_journal = stem + "crash.wal";
         clean_out = stem + "clean.txt";
