@@ -8,6 +8,7 @@
 #include "circuit/devices/sources.hpp"
 #include "circuit/matrix.hpp"
 #include "circuit/mna.hpp"
+#include "circuit/newton.hpp"
 #include "circuit/transient.hpp"
 #include "core/chip.hpp"
 #include "core/measurement.hpp"
@@ -101,32 +102,46 @@ void BM_TransientStepRcLadder(benchmark::State& state) {
 }
 BENCHMARK(BM_TransientStepRcLadder);
 
-// One Newton iteration on the real chip at a running state: stamp every
-// device, then solve.  Arg 0 solves with MnaSystem::solve (the sparse LU
-// replaying its cached elimination plan), arg 1 with the dense
-// lu_solve_in_place reference on the same assembled system.
+// One Newton iteration on the real chip: stamp every device, then solve,
+// at consecutive states of a running -7 dBm power read (a ring of 64 engine
+// solutions, one per iteration).  Arg 0 stamps with stamp_devices, as
+// newton_iterate does, so MnaSystem::solve re-eliminates only the cone of
+// the nonlinear entries; arg 1 stamps without marking them, so every solve
+// takes the full sparse replay; arg 2 solves the same assembled system with
+// the dense lu_solve_in_place reference.
 void BM_ChipNewtonIteration(benchmark::State& state) {
-    const bool dense = state.range(0) != 0;
+    const auto mode = state.range(0);
     core::RfAbmChip chip{core::RfAbmChipConfig{}};
     core::MeasurementController ctl(chip);
     ctl.open_session();
     chip.set_rf(-7.0, 1.5e9);
     circuit::TransientEngine& engine = chip.engine();
     engine.run_for(10e-9);
+    std::vector<circuit::Solution> states;
+    for (int i = 0; i < 64; ++i) {
+        engine.step();
+        states.push_back(engine.solution());
+    }
     Circuit& ckt = chip.circuit();
     circuit::StampContext ctx;
     ctx.mode = circuit::AnalysisMode::kTransient;
-    ctx.x = &engine.solution();
     ctx.dt = engine.options().dt;
     ctx.time = engine.time() + ctx.dt;
     ctx.method = engine.options().method;
     ctx.gmin = engine.options().gmin;
     circuit::MnaSystem sys;
     std::vector<double> x;
+    std::size_t next = 0;
     for (auto _ : state) {
+        ctx.x = &states[next];
+        next = (next + 1) % states.size();
         sys.reset(ckt.num_nodes(), ckt.num_branches());
-        for (const auto& dev : ckt.devices()) dev->stamp(sys, ctx);
-        if (dense) {
+        if (mode == 1) {
+            for (const auto& dev : ckt.devices()) dev->stamp(sys, ctx);
+        } else {
+            circuit::stamp_devices(ckt, sys, ctx);
+        }
+        if (mode == 2) {
             x = sys.rhs();
             circuit::lu_solve_in_place(sys.matrix(), x);
         } else {
@@ -135,11 +150,18 @@ void BM_ChipNewtonIteration(benchmark::State& state) {
         benchmark::DoNotOptimize(x.data());
         benchmark::ClobberMemory();
     }
-    state.SetLabel(dense ? "dense lu_solve_in_place" : "MnaSystem::solve");
+    static constexpr const char* kLabels[] = {"MnaSystem::solve, cone refresh",
+                                              "MnaSystem::solve, full sparse replay",
+                                              "dense lu_solve_in_place"};
+    state.SetLabel(kLabels[mode]);
     state.SetItemsProcessed(state.iterations());
     state.counters["unknowns"] = static_cast<double>(sys.dimension());
+    if (mode != 2) {
+        state.counters["refreshed_frac"] = static_cast<double>(sys.lu().refreshes()) /
+                                           static_cast<double>(sys.lu().solves());
+    }
 }
-BENCHMARK(BM_ChipNewtonIteration)->Arg(0)->Arg(1);
+BENCHMARK(BM_ChipNewtonIteration)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_TransientStepFullChip(benchmark::State& state) {
     core::RfAbmChip chip{core::RfAbmChipConfig{}};

@@ -1,14 +1,18 @@
 // Linear-algebra core of the MNA solver: a dense matrix, the dense
 // partial-pivoting LU, and a sparse replay of that same LU.
 //
-// The chip's MNA matrix is small but sparse (41 unknowns, 138 of 1,681
-// entries nonzero) and a transient read factors it hundreds of thousands of
+// The chip's MNA matrix is small but sparse (41 unknowns, 140 of 1,681
+// entries stamped) and a transient read factors it hundreds of thousands of
 // times with an unchanged structure.  SparseLu keeps the dense storage and
 // performs exactly lu_solve_in_place's floating-point operations minus those
 // with an exact-zero operand, visiting only the entries a cached elimination
 // plan marks as possibly nonzero; for finite input its solution is
-// bit-identical to the dense one.  lu_solve_in_place remains the complex AC
-// solver and the reference the sparse path is tested against.
+// bit-identical to the dense one.  Between Newton iterations only the 13
+// entries the detector MOSFETs stamp change, so SparseLu keeps its last
+// elimination and, while every other entry is bitwise unchanged, redoes
+// only their elimination cone (644 of 1,262 row updates on the chip).
+// lu_solve_in_place remains the complex AC solver and the reference the
+// sparse path is tested against.
 #pragma once
 
 #include <algorithm>
@@ -175,21 +179,41 @@ class SparsityPattern {
     std::vector<std::uint64_t> bits_;
 };
 
-/// Real partial-pivoting LU that replays a cached elimination plan.
+/// Real partial-pivoting LU that replays a cached elimination plan and,
+/// between solves that change only its dynamic entries, re-eliminates just
+/// their cone.
 ///
 /// Rows stay where they were stamped; a row swap permutes only the position
-/// order.  The plan records, per column k: the pivot row, the candidate rows
-/// below position k that may be nonzero in column k (in position order),
-/// the rows eliminated below the pivot, and the pivot row's columns right of
-/// k, which are also U row k's columns in back substitution.
+/// order.  The plan records, per column k: the pivot row, the row at
+/// position k before the swap (the front row), the candidate rows below
+/// position k that may be nonzero in column k (in position order), the rows
+/// eliminated below the pivot, and the pivot row's columns right of k, which
+/// are also U row k's columns in back substitution.
 ///
-/// A solve replays the plan while the touched pattern lies inside the
+/// The full replay runs the plan while the stamped pattern lies inside the
 /// recorded one, and otherwise re-plans on their union.  Every pivot is
 /// re-derived with the dense rule: the first strict maximum of |a(r, k)| in
-/// position order, searched over the candidate rows only, since an exact
-/// zero never wins.  A pivot that moved re-plans from its column onward.
-/// Recording and replay share one elimination kernel, so no result depends
-/// on whether the plan was reused.
+/// position order, searched over the front and candidate rows only, since an
+/// exact zero never wins.  A pivot that moved re-plans from its column
+/// onward.  Recording and replay share one elimination kernel, so no result
+/// depends on whether the plan was reused.
+///
+/// Incremental refactorization.  The solver keeps the eliminated matrix, the
+/// factors and reciprocal pivots of its last solve, and the other entries of
+/// its last full replay's input.  Once per plan, on the first full replay
+/// that reuses it, it compiles the cone of the dynamic entries (the entries
+/// nonlinear devices stamp): every entry whose eliminated value can depend
+/// on a dynamic input, through a factor, a pivot or a pivot-row entry.
+/// When every other entry of the recorded
+/// pattern is bitwise equal to the last full replay's input, a solve
+/// restarts the cone's entries from the new input and redoes, column by
+/// column, only the updates that land in the cone and the factors and
+/// reciprocal pivots read from it; a column whose pivot search can see a
+/// cone entry re-runs it, and a moved pivot falls back to the full replay.
+/// Entries outside the cone have the same inputs and operands as in the
+/// solve that computed them, and entries inside are recomputed with the full
+/// replay's operations in the same order, so the result does not depend on
+/// which path ran.  Forward and back substitution always run in full.
 ///
 /// Bit-identity with lu_solve_in_place: every skipped operation has an
 /// exact +0.0 operand, x - f * 0 == x unless x is -0.0, and -0.0 never
@@ -199,34 +223,84 @@ class SparsityPattern {
 /// this one confines it to the unknowns coupled to the poisoned entries.
 class SparseLu {
   public:
-    /// Solve @p a x = @p b into @p x.  @p touched must cover every nonzero
-    /// entry of @p a.  @p a and @p b are consumed.  Throws
-    /// SingularMatrixError with the column lu_solve_in_place would report.
-    void solve(DenseMatrix<double>& a, std::vector<double>& b, const SparsityPattern& touched,
+    /// Solve @p a x = @p b into @p x.  @p touched and @p dynamic together
+    /// must cover every nonzero entry of @p a; @p dynamic holds the entries
+    /// expected to change from one solve to the next.  Any split gives the
+    /// same result; the closer @p dynamic matches the entries that do
+    /// change, the more solves refresh.  @p a is left unchanged and @p b is
+    /// consumed.  Throws SingularMatrixError with the column
+    /// lu_solve_in_place would report.
+    void solve(const DenseMatrix<double>& a, std::vector<double>& b,
+               const SparsityPattern& touched, const SparsityPattern& dynamic,
                std::vector<double>& x) {
         const std::size_t n = a.rows();
-        if (a.cols() != n || b.size() != n || touched.size() != n) {
+        if (a.cols() != n || b.size() != n || touched.size() != n || dynamic.size() != n) {
             throw std::invalid_argument("SparseLu::solve: shape mismatch");
         }
-        if (pattern_.size() != n) {
-            pattern_.reset(n);
-            pivot_.assign(n, 0);
-            cand_begin_.assign(n + 1, 0);
-            elim_begin_.assign(n + 1, 0);
-            ucol_begin_.assign(n + 1, 0);
-            row_of_.resize(n);
-            pos_of_.resize(n);
-            planned_ = 0;
-        }
-        if (!touched.subset_of(pattern_)) {
+        if (pattern_.size() != n) resize(n);
+        if (!touched.subset_of(pattern_) || !dynamic.subset_of(pattern_)) {
             pattern_.merge(touched);
+            pattern_.merge(dynamic);
             planned_ = 0;
+            scheduled_ = false;
         }
+        if (!dynamic.subset_of(dynamic_)) {
+            dynamic_.merge(dynamic);
+            scheduled_ = false;
+        }
+        ++solves_;
+        bool refreshed = false;
+        if (scheduled_ && cached_ && inputs_unchanged(a.data())) {
+            rhs_ = b;
+            refreshed = refresh(a.data(), b);
+            if (!refreshed) b = rhs_;
+        }
+        if (refreshed) {
+            ++refreshes_;
+        } else {
+            factor(a, b);
+        }
+        back_substitute(b, x);
+    }
+
+    /// Solves run, solves that recorded at least one plan column, and
+    /// solves that re-eliminated only the cone of the dynamic entries.
+    std::uint64_t solves() const { return solves_; }
+    std::uint64_t plans() const { return plans_; }
+    std::uint64_t refreshes() const { return refreshes_; }
+    /// Plan columns recorded over all solves.
+    std::uint64_t planned_columns() const { return planned_columns_; }
+
+  private:
+    void resize(std::size_t n) {
+        pattern_.reset(n);
+        dynamic_.reset(n);
+        pivot_.assign(n, 0);
+        front_.assign(n, 0);
+        cand_begin_.assign(n + 1, 0);
+        elim_begin_.assign(n + 1, 0);
+        ucol_begin_.assign(n + 1, 0);
+        row_of_.resize(n);
+        pos_of_.resize(n);
+        inv_pivot_.assign(n, 0.0);
+        lu_.resize(n, n);
+        planned_ = 0;
+        scheduled_ = false;
+        cached_ = false;
+    }
+
+    /// The full replay: factor a copy of @p a along the plan (recording it
+    /// from the first column that needs it) and forward-substitute @p b,
+    /// keeping the eliminated matrix, the factors, the reciprocal pivots and
+    /// the entries of @p a outside the dynamic pattern.
+    void factor(const DenseMatrix<double>& a, std::vector<double>& b) {
+        const std::size_t n = a.rows();
+        cached_ = false;
+        double* const d = lu_.data();
+        std::copy(a.data(), a.data() + n * n, d);
         std::iota(row_of_.begin(), row_of_.end(), 0u);
         std::iota(pos_of_.begin(), pos_of_.end(), 0u);
-        ++solves_;
         bool recorded = false;
-        double* const d = a.data();
         for (std::size_t k = 0; k < n; ++k) {
             const std::uint32_t front = row_of_[k];
             if (k >= planned_) {
@@ -234,17 +308,7 @@ class SparseLu {
                 record_candidates(k);
                 recorded = true;
             }
-            std::uint32_t piv = front;
-            double best = std::fabs(d[front * n + k]);
-            for (std::uint32_t i = cand_begin_[k]; i < cand_begin_[k + 1]; ++i) {
-                const std::uint32_t r = cand_[i];
-                const double m = std::fabs(d[r * n + k]);
-                if (m > best) {
-                    best = m;
-                    piv = r;
-                }
-            }
-            if (best < detail::kSingularPivot) throw SingularMatrixError(k);
+            const std::uint32_t piv = find_pivot(d, n, k, front);
             if (k < planned_ && piv != pivot_[k]) {
                 // Same symbolic state as when column k was recorded, so its
                 // candidates stand; only the elimination is re-planned.
@@ -252,6 +316,7 @@ class SparseLu {
                 symbolic_state(k);
                 recorded = true;
             }
+            front_[k] = front;
             const std::uint32_t at = pos_of_[piv];
             row_of_[at] = front;
             pos_of_[front] = at;
@@ -260,41 +325,134 @@ class SparseLu {
             if (k >= planned_) record_elimination(k, piv);
             eliminate(d, n, b, k);
         }
-        if (recorded) ++plans_;
-        x.resize(n);
+        if (recorded) {
+            ++plans_;
+        } else if (!scheduled_) {
+            // Compile once a plan has served a second solve: while pivots
+            // still move (a DC solve converging from zero), every plan is
+            // replaced before it could refresh.
+            compile_refresh();
+        }
+        if (scheduled_) {
+            for (std::size_t i = 0; i < static_.size(); ++i) {
+                static_input_[i] = a.data()[static_[i]];
+            }
+        }
+        cached_ = true;
+    }
+
+    /// The dense pivot rule for column @p k: the first strict maximum of
+    /// |a(r, k)| over the front row, then the candidates in position order.
+    std::uint32_t find_pivot(const double* d, std::size_t n, std::size_t k,
+                             std::uint32_t front) const {
+        std::uint32_t piv = front;
+        double best = std::fabs(d[front * n + k]);
+        for (std::uint32_t i = cand_begin_[k]; i < cand_begin_[k + 1]; ++i) {
+            const std::uint32_t r = cand_[i];
+            const double m = std::fabs(d[r * n + k]);
+            if (m > best) {
+                best = m;
+                piv = r;
+            }
+        }
+        if (best < detail::kSingularPivot) throw SingularMatrixError(k);
+        return piv;
+    }
+
+    /// Numeric elimination of column @p k below its (already placed) pivot,
+    /// keeping the reciprocal pivot and every factor.
+    void eliminate(double* d, std::size_t n, std::vector<double>& b, std::size_t k) {
+        const std::uint32_t piv = pivot_[k];
+        const double* prow = d + static_cast<std::size_t>(piv) * n;
+        const double inv_pivot = 1.0 / prow[k];
+        inv_pivot_[k] = inv_pivot;
+        const std::uint32_t* cols = ucol_.data() + ucol_begin_[k];
+        const std::uint32_t* cols_end = ucol_.data() + ucol_begin_[k + 1];
+        const double b_pivot = b[piv];
+        for (std::uint32_t s = elim_begin_[k]; s < elim_begin_[k + 1]; ++s) {
+            double* row = d + static_cast<std::size_t>(elim_[s]) * n;
+            const double factor = row[k] * inv_pivot;
+            factor_[s] = factor;
+            if (factor == 0.0) continue;
+            for (const std::uint32_t* c = cols; c != cols_end; ++c) row[*c] -= factor * prow[*c];
+            b[elim_[s]] -= factor * b_pivot;
+        }
+    }
+
+    /// True when every recorded entry outside the dynamic pattern equals,
+    /// bit for bit, its value in the last full replay's input.
+    bool inputs_unchanged(const double* in) const {
+        const std::uint32_t* const entries = static_.data();
+        const double* const kept = static_input_.data();
+        for (std::size_t i = 0; i < static_.size(); ++i) {
+            if (std::bit_cast<std::uint64_t>(in[entries[i]]) !=
+                std::bit_cast<std::uint64_t>(kept[i])) {
+                return false;
+            }
+        }
+        return true;
+    }
+
+    /// Re-eliminate the cone of the dynamic entries in the kept matrix from
+    /// the new input @p in, and forward-substitute @p rhs with the kept and
+    /// the recomputed factors.  False when a pivot moved; @p rhs is then
+    /// partly substituted and the caller runs the full replay.
+    bool refresh(const double* in, std::vector<double>& rhs) {
+        const std::size_t n = lu_.rows();
+        double* const d = lu_.data();
+        double* const b = rhs.data();
+        double* const factors = factor_.data();
+        const std::uint32_t* const elim = elim_.data();
+        cached_ = false;
+        for (const std::uint32_t i : restart_) d[i] = in[i];
+        const RefreshColumn* column = refresh_columns_.data();
+        const RefreshColumn* const columns_end = column + refresh_columns_.size();
+        const RefreshRow* row = refresh_rows_.data();
+        const std::uint32_t* col = refresh_cols_.data();
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::uint32_t piv = pivot_[k];
+            if (column != columns_end && column->k == k) {
+                if (column->search && find_pivot(d, n, k, front_[k]) != piv) return false;
+                const double* prow = d + static_cast<std::size_t>(piv) * n;
+                double inv_pivot = inv_pivot_[k];
+                if (column->pivot) inv_pivot_[k] = inv_pivot = 1.0 / prow[k];
+                for (const RefreshRow* rows_end = refresh_rows_.data() + column->rows_end;
+                     row != rows_end; ++row) {
+                    double* target = d + row->offset;
+                    double factor = factors[row->slot];
+                    if (row->factor) factors[row->slot] = factor = target[k] * inv_pivot;
+                    const std::uint32_t* cols_end = refresh_cols_.data() + row->cols_end;
+                    if (factor != 0.0) {
+                        for (; col != cols_end; ++col) target[*col] -= factor * prow[*col];
+                    }
+                    col = cols_end;
+                }
+                ++column;
+            }
+            const double b_pivot = b[piv];
+            for (std::uint32_t s = elim_begin_[k]; s < elim_begin_[k + 1]; ++s) {
+                const double factor = factors[s];
+                if (factor != 0.0) b[elim[s]] -= factor * b_pivot;
+            }
+        }
+        cached_ = true;
+        return true;
+    }
+
+    void back_substitute(const std::vector<double>& rhs, std::vector<double>& solution) const {
+        const std::size_t n = rhs.size();
+        solution.resize(n);
+        const double* const d = lu_.data();
+        const double* const b = rhs.data();
+        const std::uint32_t* const cols = ucol_.data();
+        double* const x = solution.data();
         for (std::size_t k = n; k-- > 0;) {
             const double* prow = d + static_cast<std::size_t>(pivot_[k]) * n;
             double acc = b[pivot_[k]];
             for (std::uint32_t i = ucol_begin_[k]; i < ucol_begin_[k + 1]; ++i) {
-                acc -= prow[ucol_[i]] * x[ucol_[i]];
+                acc -= prow[cols[i]] * x[cols[i]];
             }
             x[k] = acc / prow[k];
-        }
-    }
-
-    /// Solves run, and solves that recorded at least one plan column.
-    std::uint64_t solves() const { return solves_; }
-    std::uint64_t plans() const { return plans_; }
-    /// Plan columns recorded over all solves.
-    std::uint64_t planned_columns() const { return planned_columns_; }
-
-  private:
-    /// Numeric elimination of column @p k below its (already placed) pivot.
-    void eliminate(double* d, std::size_t n, std::vector<double>& b, std::size_t k) const {
-        const std::uint32_t piv = pivot_[k];
-        const double* prow = d + static_cast<std::size_t>(piv) * n;
-        const double inv_pivot = 1.0 / prow[k];
-        const std::uint32_t* cols = ucol_.data() + ucol_begin_[k];
-        const std::uint32_t* cols_end = ucol_.data() + ucol_begin_[k + 1];
-        const std::uint32_t* rows = elim_.data() + elim_begin_[k];
-        const std::uint32_t* rows_end = elim_.data() + elim_begin_[k + 1];
-        const double b_pivot = b[piv];
-        for (const std::uint32_t* r = rows; r != rows_end; ++r) {
-            double* row = d + static_cast<std::size_t>(*r) * n;
-            const double factor = row[k] * inv_pivot;
-            if (factor == 0.0) continue;
-            for (const std::uint32_t* c = cols; c != cols_end; ++c) row[*c] -= factor * prow[*c];
-            b[*r] -= factor * b_pivot;
         }
     }
 
@@ -329,24 +487,135 @@ class SparseLu {
             sym_.merge_row(r, piv);  // fill-in
         }
         elim_begin_[k + 1] = static_cast<std::uint32_t>(elim_.size());
+        factor_.resize(elim_.size());
         ucol_.resize(ucol_begin_[k]);
         sym_.columns_after(piv, k, ucol_);
         ucol_begin_[k + 1] = static_cast<std::uint32_t>(ucol_.size());
         planned_ = k + 1;
+        scheduled_ = false;
         ++planned_columns_;
     }
 
+    /// Compile the refresh schedule of the current plan and dynamic
+    /// pattern.  The cone starts as the dynamic entries; walking the plan in
+    /// column order, an update of row r at column k with a factor read from
+    /// the cone (entry (r, k) or the pivot) puts all of row r's updated
+    /// entries in it, and otherwise each entry whose pivot-row operand is in
+    /// it.  Every entry is read only after its last update, so one pass
+    /// closes the cone; a second pass lists every update that lands in it.
+    void compile_refresh() {
+        const std::size_t n = pattern_.size();
+        SparsityPattern cone = dynamic_;
+        std::size_t updates = 0;
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::uint32_t piv = pivot_[k];
+            const bool pivot_in_cone = cone.test(piv, k);
+            updates += std::size_t{elim_begin_[k + 1] - elim_begin_[k]} *
+                       (ucol_begin_[k + 1] - ucol_begin_[k]);
+            for (std::uint32_t s = elim_begin_[k]; s < elim_begin_[k + 1]; ++s) {
+                const std::uint32_t r = elim_[s];
+                const bool factor_in_cone = pivot_in_cone || cone.test(r, k);
+                for (std::uint32_t i = ucol_begin_[k]; i < ucol_begin_[k + 1]; ++i) {
+                    if (factor_in_cone || cone.test(piv, ucol_[i])) cone.mark(r, ucol_[i]);
+                }
+            }
+        }
+        // Every stamped or filled entry is an L, U or pivot entry of the plan.
+        const std::size_t entries = elim_.size() + ucol_.size() + n;
+        static_.clear();
+        static_.reserve(entries);
+        restart_.clear();
+        restart_.reserve(entries);
+        for (std::uint32_t r = 0; r < n; ++r) {
+            for (std::uint32_t c = 0; c < n; ++c) {
+                const auto i = static_cast<std::uint32_t>(r * n + c);
+                if (cone.test(r, c)) restart_.push_back(i);
+                if (pattern_.test(r, c) && !dynamic_.test(r, c)) static_.push_back(i);
+            }
+        }
+        static_input_.resize(static_.size());
+        refresh_columns_.clear();
+        refresh_columns_.reserve(n);
+        refresh_rows_.clear();
+        refresh_rows_.reserve(elim_.size());
+        refresh_cols_.clear();
+        refresh_cols_.reserve(updates);
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::uint32_t piv = pivot_[k];
+            bool search = cone.test(front_[k], k);
+            for (std::uint32_t i = cand_begin_[k]; i < cand_begin_[k + 1]; ++i) {
+                search = search || cone.test(cand_[i], k);
+            }
+            const bool pivot_in_cone = cone.test(piv, k);
+            const std::size_t first_row = refresh_rows_.size();
+            for (std::uint32_t s = elim_begin_[k]; s < elim_begin_[k + 1]; ++s) {
+                const std::uint32_t r = elim_[s];
+                const bool factor_in_cone = pivot_in_cone || cone.test(r, k);
+                const std::size_t first_col = refresh_cols_.size();
+                for (std::uint32_t i = ucol_begin_[k]; i < ucol_begin_[k + 1]; ++i) {
+                    if (cone.test(r, ucol_[i])) refresh_cols_.push_back(ucol_[i]);
+                }
+                if (factor_in_cone || refresh_cols_.size() > first_col) {
+                    refresh_rows_.push_back({s, static_cast<std::uint32_t>(r * n), factor_in_cone,
+                                             static_cast<std::uint32_t>(refresh_cols_.size())});
+                }
+            }
+            if (search || pivot_in_cone || refresh_rows_.size() > first_row) {
+                refresh_columns_.push_back({static_cast<std::uint32_t>(k), search, pivot_in_cone,
+                                            static_cast<std::uint32_t>(refresh_rows_.size())});
+            }
+        }
+        scheduled_ = true;
+    }
+
+    /// A plan column the refresh revisits: whether its pivot search can see
+    /// a cone entry, whether the pivot is in the cone, and the end of its
+    /// rows in refresh_rows_.
+    struct RefreshColumn {
+        std::uint32_t k;
+        bool search;
+        bool pivot;
+        std::uint32_t rows_end;
+    };
+    /// A row update the refresh redoes: its elimination slot (index into
+    /// elim_ and factor_), the offset of its row, whether its factor is
+    /// recomputed, and the end of its cone columns in refresh_cols_.
+    struct RefreshRow {
+        std::uint32_t slot;
+        std::uint32_t offset;
+        bool factor;
+        std::uint32_t cols_end;
+    };
+
     SparsityPattern pattern_;  ///< union of every touched pattern solved
+    SparsityPattern dynamic_;  ///< union of every dynamic pattern solved
     SparsityPattern sym_;      ///< active-row pattern while recording
     std::size_t planned_ = 0;  ///< leading columns whose plan is valid
     std::vector<std::uint32_t> pivot_;
+    std::vector<std::uint32_t> front_;              ///< row at position k before its swap
     std::vector<std::uint32_t> cand_begin_, cand_;  ///< per column, CSR-style
     std::vector<std::uint32_t> elim_begin_, elim_;
     std::vector<std::uint32_t> ucol_begin_, ucol_;
     std::vector<std::uint32_t> row_of_;  ///< row at each position
     std::vector<std::uint32_t> pos_of_;  ///< position of each row
+
+    // The last solve, kept for the next refresh, and the refresh schedule.
+    bool cached_ = false;     ///< lu_, factor_ and inv_pivot_ hold a finished solve
+    bool scheduled_ = false;  ///< the schedule matches the plan and dynamic_
+    DenseMatrix<double> lu_;  ///< eliminated matrix
+    std::vector<double> factor_;     ///< per elimination slot
+    std::vector<double> inv_pivot_;  ///< per column
+    std::vector<double> rhs_;        ///< right-hand side, restored if a refresh fails
+    std::vector<std::uint32_t> static_;  ///< recorded entries outside dynamic_
+    std::vector<double> static_input_;   ///< their values in the last full replay
+    std::vector<std::uint32_t> restart_;  ///< the cone's entries
+    std::vector<RefreshColumn> refresh_columns_;
+    std::vector<RefreshRow> refresh_rows_;
+    std::vector<std::uint32_t> refresh_cols_;
+
     std::uint64_t solves_ = 0;
     std::uint64_t plans_ = 0;
+    std::uint64_t refreshes_ = 0;
     std::uint64_t planned_columns_ = 0;
 };
 

@@ -39,6 +39,24 @@ class IntegratingObserver : public StepObserver {
     double duration_ = 0.0;
 };
 
+/// Keeps @p observer registered with @p engine for the guard's scope, so an
+/// exception out of a run (ConvergenceError, SolveAborted) never leaves the
+/// engine holding a pointer to a destroyed observer.
+class ObserverGuard {
+  public:
+    ObserverGuard(TransientEngine& engine, StepObserver& observer)
+        : engine_(engine), observer_(observer) {
+        engine_.add_observer(&observer_);
+    }
+    ~ObserverGuard() { engine_.remove_observer(&observer_); }
+    ObserverGuard(const ObserverGuard&) = delete;
+    ObserverGuard& operator=(const ObserverGuard&) = delete;
+
+  private:
+    TransientEngine& engine_;
+    StepObserver& observer_;
+};
+
 }  // namespace
 
 SettleResult settle_cycle_average(TransientEngine& engine, NodeId p, NodeId n,
@@ -49,7 +67,7 @@ SettleResult settle_cycle_average(TransientEngine& engine, NodeId p, NodeId n,
     if (!engine.initialized()) engine.init();
 
     IntegratingObserver integrator(p, n);
-    engine.add_observer(&integrator);
+    const ObserverGuard guard(engine, integrator);
 
     SettleResult result;
     const double window = options.period * options.cycles_per_window;
@@ -79,7 +97,6 @@ SettleResult settle_cycle_average(TransientEngine& engine, NodeId p, NodeId n,
         }
     }
     result.time = engine.time();
-    engine.remove_observer(&integrator);
     return result;
 }
 
@@ -87,9 +104,8 @@ double window_average(TransientEngine& engine, NodeId p, NodeId n, double durati
     if (!engine.initialized()) engine.init();
     IntegratingObserver integrator(p, n);
     integrator.prime(engine.time(), engine.solution());
-    engine.add_observer(&integrator);
+    const ObserverGuard guard(engine, integrator);
     engine.run_for(duration);
-    engine.remove_observer(&integrator);
     return integrator.average();
 }
 

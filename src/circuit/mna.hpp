@@ -4,7 +4,8 @@
 // (real, for DC/transient Newton iterations) or a ComplexMna (for AC
 // small-signal analysis).  Ground rows/columns are suppressed at stamp time so
 // devices never special-case node 0.  Every stamp also marks the entry it
-// writes in a touched pattern, which MnaSystem::solve hands to its sparse LU.
+// writes: in a nonlinear pattern while a nonlinear device stamps, otherwise
+// in a touched pattern.  MnaSystem::solve hands both to its sparse LU.
 #pragma once
 
 #include <complex>
@@ -33,12 +34,20 @@ class MnaBase {
             a_.resize(n, n);
             b_.assign(n, T{});
             touched_.reset(n);
+            nonlinear_.reset(n);
         } else {
             a_.clear();
             std::fill(b_.begin(), b_.end(), T{});
             touched_.clear();
+            nonlinear_.clear();
         }
+        marking_nonlinear_ = false;
     }
+
+    /// While on, stamps mark their entries in nonlinear() instead of
+    /// touched(): set it around the stamp of a device whose entries change
+    /// with the iterate.
+    void mark_nonlinear(bool on) { marking_nonlinear_ = on; }
 
     std::size_t dimension() const { return b_.size(); }
 
@@ -120,14 +129,17 @@ class MnaBase {
     std::vector<T>& rhs() { return b_; }
     const DenseMatrix<T>& matrix() const { return a_; }
     const std::vector<T>& rhs() const { return b_; }
-    /// Entries stamped since the last reset().
+    /// Entries stamped since the last reset(), outside and inside
+    /// mark_nonlinear(true) respectively; an entry both kinds of device
+    /// write is in both.
     const SparsityPattern& touched() const { return touched_; }
+    const SparsityPattern& nonlinear() const { return nonlinear_; }
 
   private:
     T& at(std::ptrdiff_t r, std::ptrdiff_t c) {
         const auto row = static_cast<std::size_t>(r);
         const auto col = static_cast<std::size_t>(c);
-        touched_.mark(row, col);
+        (marking_nonlinear_ ? nonlinear_ : touched_).mark(row, col);
         return a_(row, col);
     }
 
@@ -135,20 +147,25 @@ class MnaBase {
     DenseMatrix<T> a_;
     std::vector<T> b_;
     SparsityPattern touched_;
+    SparsityPattern nonlinear_;
+    bool marking_nonlinear_ = false;
 };
 
 }  // namespace detail
 
 /// Real MNA system used by DC and transient Newton iterations.  It keeps the
-/// elimination plan of its sparse LU across reset(), so a Newton loop or a
-/// transient engine that reuses one system replays the plan on every solve.
+/// elimination plan of its sparse LU and the state of its last solve across
+/// reset(), so a Newton loop or a transient engine that reuses one system
+/// replays the plan on every solve, and re-eliminates only the cone of the
+/// nonlinear entries while every other entry is stamped unchanged.
 class MnaSystem : public detail::MnaBase<double> {
   public:
     /// Solve the assembled system into @p x with a partial-pivoting LU
-    /// bit-identical to lu_solve_in_place (see SparseLu).  Consumes the
-    /// assembled matrix and right-hand side; reset() before stamping again.
-    /// Throws SingularMatrixError.
-    void solve(std::vector<double>& x) { lu_.solve(matrix(), rhs(), touched(), x); }
+    /// bit-identical to lu_solve_in_place (see SparseLu), treating the
+    /// nonlinear() entries as the ones that change between solves.  Leaves
+    /// the assembled matrix unchanged and consumes the right-hand side;
+    /// reset() before stamping again.  Throws SingularMatrixError.
+    void solve(std::vector<double>& x) { lu_.solve(matrix(), rhs(), touched(), nonlinear(), x); }
 
     const SparseLu& lu() const { return lu_; }
 

@@ -33,6 +33,14 @@ bool check_converged(const Solution& prev, const std::vector<double>& next,
 
 }  // namespace
 
+void stamp_devices(Circuit& circuit, MnaSystem& sys, const StampContext& ctx) {
+    for (const auto& dev : circuit.devices()) {
+        sys.mark_nonlinear(dev->is_nonlinear());
+        dev->stamp(sys, ctx);
+    }
+    sys.mark_nonlinear(false);
+}
+
 NewtonOutcome newton_iterate(Circuit& circuit, StampContext ctx, Solution& x,
                              const NewtonOptions& options, MnaSystem& scratch) {
     circuit.finalize();
@@ -47,7 +55,7 @@ NewtonOutcome newton_iterate(Circuit& circuit, StampContext ctx, Solution& x,
         scratch.reset(num_nodes, circuit.num_branches());
         ctx.x = &x;
         limited = false;
-        for (const auto& dev : circuit.devices()) dev->stamp(scratch, ctx);
+        stamp_devices(circuit, scratch, ctx);
         if (options.extra_diag_gmin > 0.0) {
             for (NodeId n = 1; n < static_cast<NodeId>(num_nodes); ++n) {
                 scratch.add_node_diagonal(n, options.extra_diag_gmin);

@@ -41,6 +41,10 @@ struct NewtonOutcome {
     std::size_t worst_unknown = 0;
 };
 
+/// Stamp every device of @p circuit into @p sys for @p ctx, marking the
+/// entries nonlinear devices write as MnaSystem::nonlinear().
+void stamp_devices(Circuit& circuit, MnaSystem& sys, const StampContext& ctx);
+
 /// Iterate the MNA system described by @p ctx (whose x pointer is managed by
 /// this function) starting from @p x until convergence.  @p x is updated in
 /// place with the best iterate.  @p scratch is reused across calls to avoid

@@ -7,6 +7,7 @@
 #include "circuit/devices/diode.hpp"
 #include "circuit/devices/passive.hpp"
 #include "circuit/devices/sources.hpp"
+#include "exec/cancellation.hpp"
 
 namespace rfabm::circuit {
 namespace {
@@ -120,6 +121,56 @@ TEST(Measure, UnsettledReportsFalse) {
     const SettleResult r = settle_cycle_average(engine, in, kGround, sopts);
     EXPECT_FALSE(r.settled);
     EXPECT_EQ(r.windows, 5);
+}
+
+/// Fires a cancellation source on the @p steps-th accepted step.
+class CancelAfterSteps : public StepObserver {
+  public:
+    CancelAfterSteps(exec::CancellationSource& source, int steps)
+        : source_(source), steps_(steps) {}
+    void on_step(double, const Solution&, Circuit&) override {
+        if (++seen_ == steps_) source_.cancel();
+    }
+
+  private:
+    exec::CancellationSource& source_;
+    int steps_;
+    int seen_ = 0;
+};
+
+TEST(Measure, CancelledSettleLeavesTheEngineSteppable) {
+    // The checked measurement pipeline steps the same engine again after a
+    // read is cancelled or fails to converge (backoff dwell, re-read), so
+    // neither settle helper may leave its observer registered when the run
+    // throws.
+    Circuit ckt;
+    const NodeId in = ckt.node("in");
+    const NodeId out = ckt.node("out");
+    ckt.add<VSource>("V1", in, kGround, Waveform::sine(0.5, 0.5, 10e6));
+    ckt.add<Resistor>("R1", in, out, 1e3);
+    ckt.add<Capacitor>("C1", out, kGround, 100e-12);  // tau = 100 ns
+    TransientOptions topts;
+    topts.dt = 1e-9;
+    TransientEngine engine(ckt, topts);
+    SettleOptions sopts;
+    sopts.period = 100e-9;
+    for (const bool settle : {true, false}) {
+        exec::CancellationSource source;
+        engine.options().cancel = source.token();
+        CancelAfterSteps canceller(source, 250);
+        engine.add_observer(&canceller);
+        if (settle) {
+            EXPECT_THROW(settle_cycle_average(engine, out, kGround, sopts), SolveAborted);
+        } else {
+            EXPECT_THROW(window_average(engine, out, kGround, 1e-6), SolveAborted);
+        }
+        engine.remove_observer(&canceller);
+        engine.options().cancel = exec::CancellationToken{};
+        for (int i = 0; i < 100; ++i) engine.step();
+    }
+    const SettleResult r = settle_cycle_average(engine, out, kGround, sopts);
+    EXPECT_TRUE(r.settled);
+    EXPECT_NEAR(r.value, 0.5, 5e-3);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Bit-identity of MnaSystem::solve (the sparse LU replaying a cached
-// elimination plan) against the dense lu_solve_in_place reference: every
-// solution is compared with memcmp, every singular matrix must fail at the
-// same column.
+// elimination plan, or re-eliminating only the cone of its nonlinear
+// entries) against the dense lu_solve_in_place reference: every solution is
+// compared with memcmp, every singular matrix must fail at the same column.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -77,7 +77,8 @@ void add_entry(MnaSystem& sys, std::size_t r, std::size_t c, double v) {
 
 /// A random MNA-shaped netlist: conductances (some to ground), VCCS
 /// couplings, ideal voltage sources and inductor-like branch equations, whose
-/// values can be re-drawn on an unchanged structure.
+/// values can be re-drawn on an unchanged structure.  The VCCS are stamped
+/// as nonlinear entries.
 class RandomNetlist {
   public:
     RandomNetlist(std::size_t n, std::uint64_t seed) : rng_(seed) {
@@ -106,7 +107,10 @@ class RandomNetlist {
     /// Stamp the netlist with fresh values: log-uniform magnitudes, each
     /// value scaled by (1 + @p jitter * noise) of a fixed base draw when
     /// @p jitter > 0, so small jitters keep pivots and large ones move them.
-    void stamp(MnaSystem& sys, double jitter) {
+    /// The VCCS and the current sources take @p vccs_jitter instead; with
+    /// @p jitter = 0 only they change between stamps.
+    void stamp(MnaSystem& sys, double jitter) { stamp(sys, jitter, jitter); }
+    void stamp(MnaSystem& sys, double jitter, double vccs_jitter) {
         if (base_.empty()) {
             std::uniform_real_distribution<double> expo(-6.0, 3.0);
             std::bernoulli_distribution negative(0.3);
@@ -118,22 +122,30 @@ class RandomNetlist {
         }
         std::uniform_real_distribution<double> noise(-1.0, 1.0);
         std::size_t k = 0;
-        auto next = [&] { return base_[k++] * (1.0 + jitter * noise(rng_)); };
+        auto next = [&](double j) { return base_[k++] * (1.0 + j * noise(rng_)); };
         sys.reset(nodes_, branches_);
-        for (const auto& [a, b] : conductances_) sys.add_conductance(a, b, std::fabs(next()));
-        for (const auto& v : vccs_) sys.add_transconductance(v[0], v[1], v[2], v[3], next());
+        for (const auto& [a, b] : conductances_) {
+            sys.add_conductance(a, b, std::fabs(next(jitter)));
+        }
+        sys.mark_nonlinear(true);
+        for (const auto& v : vccs_) {
+            sys.add_transconductance(v[0], v[1], v[2], v[3], next(vccs_jitter));
+        }
+        sys.mark_nonlinear(false);
         for (std::size_t b = 0; b < branches_; ++b) {
             const auto [p, m] = branch_nodes_[b];
             sys.add_branch_to_node(p, b, 1.0);
             sys.add_branch_to_node(m, b, -1.0);
             sys.add_node_to_branch(b, p, 1.0);
             sys.add_node_to_branch(b, m, -1.0);
-            const double rhs = next();
-            const double inductance = next();
+            const double rhs = next(jitter);
+            const double inductance = next(jitter);
             if (b % 2 == 1) sys.add_branch_to_branch(b, b, -std::fabs(inductance));
             sys.add_branch_rhs(b, rhs);
         }
-        for (NodeId a = 1; a < static_cast<NodeId>(nodes_); ++a) sys.add_current(a, kGround, next());
+        for (NodeId a = 1; a < static_cast<NodeId>(nodes_); ++a) {
+            sys.add_current(a, kGround, next(vccs_jitter));
+        }
     }
 
   private:
@@ -169,6 +181,25 @@ TEST_P(SparseLuSizes, RandomMnaMatricesMatchDenseBitForBit) {
     }
 }
 
+TEST_P(SparseLuSizes, NonlinearOnlyChangesRefreshTheirCone) {
+    const std::size_t n = GetParam();
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        RandomNetlist net(n, seed * 1149 + n);
+        MnaSystem sys;
+        for (int state = 0; state < 60; ++state) {
+            // The linear entries keep their base values; the nonlinear ones
+            // move a little (pivots kept) or, every tenth state, a lot.
+            net.stamp(sys, 0.0, state % 10 == 9 ? 0.9 : 1e-3);
+            ASSERT_TRUE(solves_identically(sys)) << "n=" << n << " seed=" << seed
+                                                 << " state=" << state;
+        }
+        // Each plan costs at most two full replays (the one that records
+        // it, the one that compiles its cone); every other solve refreshed.
+        EXPECT_GE(sys.lu().refreshes() + 2 * sys.lu().plans(), sys.lu().solves());
+        EXPECT_GE(sys.lu().refreshes(), 40u) << "n=" << n << " seed=" << seed;
+    }
+}
+
 // n = 41 is the chip; 63/64/65 and 130 cross one and two bitset words.
 INSTANTIATE_TEST_SUITE_P(WordBoundaries, SparseLuSizes,
                          ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{41},
@@ -176,8 +207,9 @@ INSTANTIATE_TEST_SUITE_P(WordBoundaries, SparseLuSizes,
                                            std::size_t{130}));
 
 /// Five nodes, no branches: clear diagonal pivots in columns 0-2, and a
-/// column-3 pivot decided by entry (4, 3).
-void stamp_pivot_case(MnaSystem& sys, double a43) {
+/// column-3 pivot decided by entry (4, 3), stamped as a nonlinear entry when
+/// @p nonlinear is set.
+void stamp_pivot_case(MnaSystem& sys, double a43, bool nonlinear = false) {
     sys.reset(6, 0);
     for (std::size_t i = 0; i < 3; ++i) add_entry(sys, i, i, 4.0);
     add_entry(sys, 0, 3, 1.0);
@@ -185,7 +217,9 @@ void stamp_pivot_case(MnaSystem& sys, double a43) {
     add_entry(sys, 1, 4, 0.5);
     add_entry(sys, 4, 1, 0.25);
     add_entry(sys, 3, 3, 2.0);
+    sys.mark_nonlinear(nonlinear);
     add_entry(sys, 4, 3, a43);
+    sys.mark_nonlinear(false);
     add_entry(sys, 3, 4, 1.0);
     add_entry(sys, 4, 4, 3.0);
     add_entry(sys, 2, 2, 0.125);
@@ -214,6 +248,164 @@ TEST(SparseLu, PivotThatLosesPartwayReplansFromItsColumn) {
     stamp_pivot_case(sys, 1.0);
     ASSERT_TRUE(solves_identically(sys));
     EXPECT_EQ(sys.lu().planned_columns(), 5u + 2u + 2u);
+}
+
+TEST(SparseLu, PivotMovingInsideTheConeFallsBackToTheFullReplay) {
+    // After columns 0-2, column 3 holds 1.75 in row 3 and a43 in row 4.  The
+    // first solve records the plan, the second reuses it and compiles the
+    // cone, the third refreshes.
+    MnaSystem sys;
+    for (const double a43 : {1.0, 1.5, 1.25}) {
+        stamp_pivot_case(sys, a43, true);
+        ASSERT_TRUE(solves_identically(sys)) << "a43=" << a43;
+    }
+    EXPECT_EQ(sys.lu().refreshes(), 1u);
+
+    // Row 4 wins column 3: the refresh sees it and the full replay re-plans.
+    stamp_pivot_case(sys, 5.0, true);
+    ASSERT_TRUE(solves_identically(sys));
+    EXPECT_EQ(sys.lu().refreshes(), 1u);
+    EXPECT_EQ(sys.lu().plans(), 2u);
+    EXPECT_EQ(sys.lu().planned_columns(), 5u + 2u);
+
+    // The new plan's cone refreshes in turn, until the pivot moves back.
+    for (const double a43 : {5.5, 6.0}) {
+        stamp_pivot_case(sys, a43, true);
+        ASSERT_TRUE(solves_identically(sys)) << "a43=" << a43;
+    }
+    EXPECT_EQ(sys.lu().refreshes(), 2u);
+    stamp_pivot_case(sys, 1.0, true);
+    ASSERT_TRUE(solves_identically(sys));
+    EXPECT_EQ(sys.lu().refreshes(), 2u);
+    EXPECT_EQ(sys.lu().plans(), 3u);
+}
+
+TEST(SparseLu, ChangedLinearEntryTakesTheFullReplay) {
+    RandomNetlist net(41, 11);
+    MnaSystem sys;
+    for (int i = 0; i < 3; ++i) {
+        net.stamp(sys, 0.0, 1e-3);
+        ASSERT_TRUE(solves_identically(sys));
+    }
+    EXPECT_EQ(sys.lu().refreshes(), 1u);
+
+    // A linear entry moves (a new time step, a switch toggling): the full
+    // replay runs, on the same plan, and again when it moves back.
+    net.stamp(sys, 0.0, 1e-3);
+    add_entry(sys, 5, 5, 0.5);
+    ASSERT_TRUE(solves_identically(sys));
+    net.stamp(sys, 0.0, 1e-3);
+    ASSERT_TRUE(solves_identically(sys));
+    EXPECT_EQ(sys.lu().refreshes(), 1u);
+    net.stamp(sys, 0.0, 1e-3);
+    ASSERT_TRUE(solves_identically(sys));
+    EXPECT_EQ(sys.lu().refreshes(), 2u);
+    EXPECT_EQ(sys.lu().plans(), 1u);
+}
+
+TEST(SparseLu, GrowingNonlinearPatternRecompilesTheCone) {
+    RandomNetlist net(41, 9);
+    MnaSystem sys;
+    for (int i = 0; i < 3; ++i) {
+        net.stamp(sys, 0.0, 1e-3);
+        ASSERT_TRUE(solves_identically(sys));
+    }
+    EXPECT_EQ(sys.lu().refreshes(), 1u);
+
+    // A linear entry now also written by a nonlinear stamp: the first solve
+    // that marks it runs the full replay and compiles the larger cone, the
+    // later ones refresh it.
+    for (int i = 0; i < 4; ++i) {
+        net.stamp(sys, 0.0, 1e-3);
+        sys.mark_nonlinear(true);
+        add_entry(sys, 7, 7, 0.1 * (i + 1));
+        sys.mark_nonlinear(false);
+        ASSERT_TRUE(solves_identically(sys)) << "state " << i;
+    }
+    EXPECT_EQ(sys.lu().refreshes(), 1u + 3u);
+    EXPECT_EQ(sys.lu().plans(), 1u);
+}
+
+/// Three unknowns; column 1 holds only the nonlinear entry (1, 1) = @p g.
+void stamp_lone_nonlinear_column(MnaSystem& sys, double g) {
+    sys.reset(4, 0);
+    add_entry(sys, 0, 0, 2.0);
+    add_entry(sys, 0, 1, 1.0);
+    add_entry(sys, 1, 2, 0.3);
+    add_entry(sys, 2, 2, 1.0);
+    sys.mark_nonlinear(true);
+    add_entry(sys, 1, 1, g);
+    sys.mark_nonlinear(false);
+    for (NodeId a = 1; a <= 3; ++a) sys.add_current(kGround, a, 0.5 * a);
+}
+
+TEST(SparseLu, SingularColumnInsideTheConeThrowsTheDenseColumn) {
+    MnaSystem sys;
+    for (const double g : {1.0, 2.0, 2.5}) {
+        stamp_lone_nonlinear_column(sys, g);
+        ASSERT_TRUE(solves_identically(sys)) << "g=" << g;
+    }
+    EXPECT_EQ(sys.lu().refreshes(), 1u);
+
+    // Only the nonlinear entry changed, so the refresh meets the zero pivot
+    // and must throw the column the dense LU reports.
+    stamp_lone_nonlinear_column(sys, 0.0);
+    std::vector<double> x;
+    try {
+        sys.solve(x);
+        FAIL() << "expected SingularMatrixError";
+    } catch (const SingularMatrixError& e) {
+        EXPECT_EQ(e.column(), 1u);
+    }
+    stamp_lone_nonlinear_column(sys, 0.0);
+    ASSERT_TRUE(solves_identically(sys));
+
+    // The throw dropped the kept solve: the next one replays in full, the
+    // one after refreshes again.
+    stamp_lone_nonlinear_column(sys, 3.0);
+    ASSERT_TRUE(solves_identically(sys));
+    EXPECT_EQ(sys.lu().refreshes(), 1u);
+    stamp_lone_nonlinear_column(sys, 4.0);
+    ASSERT_TRUE(solves_identically(sys));
+    EXPECT_EQ(sys.lu().refreshes(), 2u);
+}
+
+TEST(SparseLu, NonFiniteNonlinearEntryMatchesTheFullReplay) {
+    // The dense LU spreads NaN through 0 * NaN; the sparse one does not, so
+    // the reference here is the full sparse replay of a fresh system.
+    auto stamp = [](MnaSystem& sys, double g) {
+        sys.reset(7, 0);
+        for (NodeId a = 1; a <= 6; ++a) sys.add_conductance(a, kGround, 1.0);
+        sys.add_conductance(1, 2, 0.5);
+        sys.add_conductance(2, 3, 0.5);
+        sys.add_conductance(4, 5, 0.5);
+        sys.add_conductance(5, 6, 0.5);
+        sys.mark_nonlinear(true);
+        sys.add_transconductance(5, kGround, 2, kGround, g);
+        sys.mark_nonlinear(false);
+        for (NodeId a = 1; a <= 6; ++a) sys.add_current(kGround, a, 0.1 * a);
+    };
+    auto first_non_finite = [](const std::vector<double>& x) {
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            if (!std::isfinite(x[i])) return i;
+        }
+        return x.size();
+    };
+    MnaSystem warm;
+    std::vector<double> x;
+    for (const double g : {0.1, 0.2, 0.3, std::nan("")}) {
+        stamp(warm, g);
+        warm.solve(x);
+    }
+    EXPECT_EQ(warm.lu().refreshes(), 2u) << "the NaN solve must take the refresh path";
+    MnaSystem cold;
+    std::vector<double> ref;
+    stamp(cold, std::nan(""));
+    cold.solve(ref);
+    EXPECT_EQ(cold.lu().refreshes(), 0u);
+    EXPECT_TRUE(same_bits(ref, x));
+    EXPECT_EQ(first_non_finite(x), first_non_finite(ref));
+    EXPECT_LT(first_non_finite(x), x.size());
 }
 
 TEST(SparseLu, TiedPivotsResolveToTheFirstRowInPositionOrder) {
