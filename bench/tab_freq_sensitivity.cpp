@@ -30,17 +30,20 @@ int main(int argc, char** argv) {
         {"preamplified ABM", true, -12.0, 2.0, -5.0},
     };
 
+    // One frequency curve serves both variants: the converter behind the
+    // prescaler is the same on both, and only the basic ABM's input toggles
+    // the prescaler across the whole band (at +6 dBm).  The preamplified
+    // input compresses and, at drives it still handles, toggles the
+    // prescaler only near 1.5 GHz, so no curve taken through it is monotone.
+    const bench::NominalReference ref = bench::acquire_reference(
+        core::RfAbmChipConfig{}, rf::arange(-20.0, 7.0, 1.0), rf::arange(0.9, 2.1, 0.1),
+        1.5e9, 6.0);
+
     bench::Exec exec(opts);
     for (const Variant& v : variants) {
         core::RfAbmChipConfig config;
         config.with_preamp = v.with_preamp;
         std::printf("\n-- %s --\n", v.name);
-        // The preamplified structure compresses hard at +6 dBm; acquire its
-        // frequency curve at a moderate drive inside its linear range.
-        const double curve_drive = v.with_preamp ? 0.0 : 6.0;
-        const bench::NominalReference ref = bench::acquire_reference(
-            config, rf::arange(-20.0, 7.0, 1.0), rf::arange(0.9, 2.1, 0.1), 1.5e9,
-            curve_drive);
 
         const std::vector<double> powers = rf::arange(v.grid_lo, v.grid_hi, 1.0);
         std::vector<int> valid_count(powers.size(), 0);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <sstream>
 
 #include "circuit/measure.hpp"
@@ -401,26 +402,40 @@ bool MeasurementController::flow_admission_rejects(MeasurementDiagnostics& d) {
     return true;
 }
 
-PowerMeasurement MeasurementController::measure_power_checked(
-    const rfabm::rf::MonotoneCurve& cal, std::optional<double> expected_dbm) {
-    PowerMeasurement m;
+struct MeasurementController::CheckedRead {
+    std::uint8_t word = 0;    ///< select word routing the detector to the ATAP pins
+    std::uint8_t routes = 0;  ///< the bus-route bits of `word`, opened to mute the bus
+    std::function<double()> read;  ///< one settled read; leaves last_settled_
+    /// Liveness probe of a settled read; @p edges counts the FVC clock edges
+    /// since the attempt's session was opened.  Returns the finding, or an
+    /// empty string when the detector is alive.
+    std::function<std::string(std::uint64_t edges)> alive;
+    rf::surrogate::Quantity quantity{};
+    double vdd = 0.0;        ///< the detector's supply, part of the surrogate key
+    bool surrogate = false;  ///< the surrogate key describes this read
+    const char* read_name = "";  ///< which read failed to settle ("DC", "FVC")
+    const char* unit = "";       ///< the converted value's unit
+    const char* tol_unit = "";   ///< the expected-value tolerance's unit
+};
+
+bool MeasurementController::run_checked(const CheckedRead& q,
+                                        const rfabm::rf::MonotoneCurve& cal,
+                                        std::optional<double> expected, DetectorReading& m,
+                                        double& value) {
     MeasurementDiagnostics& d = m.diag;
-    if (flow_admission_rejects(d)) return m;
+    if (flow_admission_rejects(d)) return false;
     // Two-tier serving: an in-envelope, in-budget surrogate hit needs none of
     // the scan/select/liveness machinery below — those checks guard the
     // physical read path, which a served reading never exercises.
-    if (surrogate_serve(rf::surrogate::Quantity::kPowerVout, chip_.conditions().vdd_pdet,
-                        &m.vout, &m.surrogate_bound)) {
+    if (q.surrogate && surrogate_serve(q.quantity, q.vdd, &m.vout, &m.surrogate_bound)) {
         m.from_surrogate = true;
         m.settled = true;
-        m.dbm = cal.invert(m.vout);
+        value = cal.invert(m.vout);
         d.status = MeasurementStatus::kOk;
         d.detail = "served by surrogate surface";
-        return m;
+        return true;
     }
     const RetryPolicy& policy = options_.retry;
-    const std::uint8_t word = select_word(
-        {SelectBit::kOutPlusToAb1, SelectBit::kOutMinusToAb2, SelectBit::kDetectorPower});
     double backoff = policy.backoff_s;
     const int attempts = std::max(1, policy.max_retries + 1);
     for (int attempt = 0; attempt < attempts; ++attempt) {
@@ -430,7 +445,7 @@ PowerMeasurement MeasurementController::measure_power_checked(
             d.status = options_.cancel.deadline_expired() ? MeasurementStatus::kTimedOut
                                                           : MeasurementStatus::kFailed;
             d.detail = options_.cancel.stop_reason();
-            return m;
+            return false;
         }
         if (attempt > 0) {
             d.retries = attempt;
@@ -455,13 +470,14 @@ PowerMeasurement MeasurementController::measure_power_checked(
         }
         // 2. (Re)open the session and read.  The solver never aborts the
         //    pipeline: non-convergence is recorded and retried.
+        const std::uint64_t edges_before = chip_.fvc_edges();
         try {
             open_session();
             ++d.reopened_sessions;
             if (options_.lint_before_measure) {
-                set_select(word);
+                set_select(q.word);
                 lint::Report preflight;
-                lint_preflight(word, preflight);
+                lint_preflight(q.word, preflight);
                 if (preflight.has_errors()) {
                     // A statically-detectable configuration defect: reject
                     // immediately instead of burning retries on transient
@@ -469,10 +485,10 @@ PowerMeasurement MeasurementController::measure_power_checked(
                     d.suspect = SuspectedFault::kConfigLint;
                     d.status = MeasurementStatus::kFailed;
                     d.detail = first_lint_error(preflight);
-                    return m;
+                    return false;
                 }
             }
-            m.vout = measure_power_vout();
+            m.vout = q.read();
             m.settled = last_settled_;
         } catch (const circuit::SolveAborted& e) {
             // The supervisor pulled the plug mid-solve.  A watchdog deadline
@@ -483,7 +499,7 @@ PowerMeasurement MeasurementController::measure_power_checked(
             d.status = options_.cancel.deadline_expired() ? MeasurementStatus::kTimedOut
                                                           : MeasurementStatus::kFailed;
             d.detail = e.what();
-            return m;
+            return false;
         } catch (const circuit::ConvergenceError& e) {
             if (e.non_finite()) {
                 // NaN/Inf is deterministic arithmetic poison: a retry reruns
@@ -492,26 +508,28 @@ PowerMeasurement MeasurementController::measure_power_checked(
                 d.suspect = SuspectedFault::kNonFinite;
                 d.status = MeasurementStatus::kNonFinite;
                 d.detail = e.what();
-                return m;
+                return false;
             }
             d.suspect = SuspectedFault::kConvergence;
             d.detail = e.what();
             continue;
         }
         // 3. Select-path integrity: the latched word must match what we wrote.
-        if (!verify_select(word)) {
+        if (!verify_select(q.word)) {
             d.suspect = SuspectedFault::kSelectPath;
             d.detail = "select-bus readback mismatch";
             continue;
         }
         // 4. Non-settling fallback: one extended-window re-read before
-        //    burning a whole retry on it.
+        //    burning a whole retry on it.  Both window lengths double; each
+        //    read uses only its own.
         if (!m.settled) {
             const MeasureOptions saved = options_;
             options_.max_windows *= 2;
             options_.cycles_per_window *= 2;
+            options_.freq_cycles_per_window *= 2;
             try {
-                m.vout = measure_power_vout();
+                m.vout = q.read();
                 m.settled = last_settled_;
             } catch (const circuit::ConvergenceError&) {
                 m.settled = false;
@@ -524,34 +542,27 @@ PowerMeasurement MeasurementController::measure_power_checked(
                 d.fallback = "extended settle window";
             } else {
                 d.suspect = SuspectedFault::kNonSettling;
-                d.detail = "DC read did not settle within the window budget";
+                d.detail = std::string(q.read_name) +
+                           " read did not settle within the window budget";
                 continue;
             }
         }
-        // 5. Plausibility: both detector outputs must be electrically alive
-        //    (a floating ATAP pin reads near 0 through the DMM load) and the
-        //    reading must be credible against the calibration curve.
-        {
-            const double v1 = liveness_read(chip_.at1());
-            const double v2 = liveness_read(chip_.at2());
-            if (std::fabs(v1) < policy.liveness_min_v || std::fabs(v2) < policy.liveness_min_v) {
-                std::ostringstream os;
-                os << "ATAP pin liveness check failed (v(AT1) = " << v1 << " V, v(AT2) = "
-                   << v2 << " V)";
-                d.suspect = SuspectedFault::kSignalPath;
-                d.detail = os.str();
-                continue;
-            }
+        // 5. Plausibility: the detector must be alive, ...
+        if (std::string finding = q.alive(chip_.fvc_edges() - edges_before);
+            !finding.empty()) {
+            d.suspect = SuspectedFault::kSignalPath;
+            d.detail = std::move(finding);
+            continue;
         }
-        // 5b. Bus isolation: with every MUX path opened (detectors kept
-        //     powered) the ATAP pins must go dead.  A pin still alive points
-        //     at a switch stuck closed — invisible to the select readback,
-        //     which only sees the latched control bits.
+        // ... with its routes opened (detectors kept powered) both ATAP pins
+        // must go dead — a pin still alive points at a switch stuck closed,
+        // invisible to the select readback, which only sees the latched
+        // control bits ...
         {
-            set_select(select_word({SelectBit::kDetectorPower}));
+            set_select(static_cast<std::uint8_t>(q.word & ~q.routes));
             const double v1 = liveness_read(chip_.at1());
             const double v2 = liveness_read(chip_.at2());
-            set_select(word);
+            set_select(q.word);
             if (std::fabs(v1) >= policy.liveness_min_v ||
                 std::fabs(v2) >= policy.liveness_min_v) {
                 std::ostringstream os;
@@ -562,6 +573,7 @@ PowerMeasurement MeasurementController::measure_power_checked(
                 continue;
             }
         }
+        // ... and the reading must be credible against the calibration curve.
         if (cal.valid()) {
             const YRange range = curve_y_range(cal);
             const double margin = policy.range_margin * range.span();
@@ -573,17 +585,18 @@ PowerMeasurement MeasurementController::measure_power_checked(
                 d.detail = os.str();
                 continue;
             }
-            m.dbm = cal.invert(m.vout);
-            // The expected-stimulus cross-check runs in the dBm domain: the
-            // detector curve is steep at the top and nearly flat at the
+            value = cal.invert(m.vout);
+            // The expected-stimulus cross-check runs in the stimulus domain:
+            // the power curve is steep at the top and nearly flat at the
             // bottom, so a volt-domain tolerance would wave through huge
             // low-power errors (a dead detector is only ~0.08 V off).
-            if (expected_dbm) {
+            if (expected) {
                 const double tol = policy.expected_tol * (cal.x_max() - cal.x_min());
-                if (std::fabs(m.dbm - *expected_dbm) > tol) {
+                if (std::fabs(value - *expected) > tol) {
                     std::ostringstream os;
-                    os << "measured " << m.dbm << " dBm deviates from expected "
-                       << *expected_dbm << " dBm (tolerance " << tol << " dB)";
+                    os << "measured " << value << " " << q.unit << " deviates from expected "
+                       << *expected << " " << q.unit << " (tolerance " << tol << " "
+                       << q.tol_unit << ")";
                     d.suspect = SuspectedFault::kSignalPath;
                     d.detail = os.str();
                     continue;
@@ -599,209 +612,75 @@ PowerMeasurement MeasurementController::measure_power_checked(
         }
         // Only a first-try clean read trains the surface: a Degraded value
         // already tripped a check once and is not fit to serve others.
-        if (d.status == MeasurementStatus::kOk) {
-            surrogate_observe(rf::surrogate::Quantity::kPowerVout,
-                              chip_.conditions().vdd_pdet, m.vout);
+        if (q.surrogate && d.status == MeasurementStatus::kOk) {
+            surrogate_observe(q.quantity, q.vdd, m.vout);
         }
-        return m;
+        return true;
     }
     // Budget exhausted.  A plausibility failure still carries a best-effort
     // value (Degraded); infrastructure failures carry none worth trusting.
-    if (cal.valid()) m.dbm = cal.invert(m.vout);
+    if (cal.valid()) value = cal.invert(m.vout);
     d.status = d.suspect == SuspectedFault::kSignalPath ? MeasurementStatus::kDegraded
                                                         : MeasurementStatus::kFailed;
+    return false;
+}
+
+PowerMeasurement MeasurementController::measure_power_checked(
+    const rfabm::rf::MonotoneCurve& cal, std::optional<double> expected_dbm) {
+    CheckedRead q;
+    q.word = select_word(
+        {SelectBit::kOutPlusToAb1, SelectBit::kOutMinusToAb2, SelectBit::kDetectorPower});
+    q.routes = select_word({SelectBit::kOutPlusToAb1, SelectBit::kOutMinusToAb2});
+    q.read = [this] { return measure_power_vout(); };
+    // Both detector outputs must be electrically alive: a floating ATAP pin
+    // reads near 0 through the DMM load.
+    q.alive = [this](std::uint64_t) {
+        const double v1 = liveness_read(chip_.at1());
+        const double v2 = liveness_read(chip_.at2());
+        const double min_v = options_.retry.liveness_min_v;
+        std::ostringstream os;
+        if (std::fabs(v1) < min_v || std::fabs(v2) < min_v) {
+            os << "ATAP pin liveness check failed (v(AT1) = " << v1 << " V, v(AT2) = "
+               << v2 << " V)";
+        }
+        return os.str();
+    };
+    q.quantity = rf::surrogate::Quantity::kPowerVout;
+    q.vdd = chip_.conditions().vdd_pdet;
+    q.surrogate = true;
+    q.read_name = "DC";
+    q.unit = "dBm";
+    q.tol_unit = "dB";
+    PowerMeasurement m;
+    run_checked(q, cal, expected_dbm, m, m.dbm);
     return m;
 }
 
 FrequencyMeasurement MeasurementController::measure_frequency_checked(
     const rfabm::rf::MonotoneCurve& cal, bool use_fin, std::optional<double> expected_ghz) {
     FrequencyMeasurement m;
-    MeasurementDiagnostics& d = m.diag;
-    if (flow_admission_rejects(d)) return m;
-    // Two-tier serving (RF path only; see measure_frequency).
-    if (!use_fin &&
-        surrogate_serve(rf::surrogate::Quantity::kFreqVout, chip_.conditions().vdd_fdet,
-                        &m.vout, &m.surrogate_bound)) {
-        m.from_surrogate = true;
-        m.settled = true;
-        m.valid = true;
-        m.ghz = cal.invert(m.vout);
-        d.status = MeasurementStatus::kOk;
-        d.detail = "served by surrogate surface";
-        return m;
-    }
-    const RetryPolicy& policy = options_.retry;
-    auto word = use_fin ? select_word({SelectBit::kFdetToAb1, SelectBit::kDetectorPower,
-                                       SelectBit::kInputSelectFin})
-                        : select_word({SelectBit::kFdetToAb1, SelectBit::kDetectorPower});
-    double backoff = policy.backoff_s;
-    const int attempts = std::max(1, policy.max_retries + 1);
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-        // Campaign cancellation/deadline: stop before spending a (re)try.
-        if (options_.cancel.stop_requested()) {
-            d.suspect = SuspectedFault::kCancelled;
-            d.status = options_.cancel.deadline_expired() ? MeasurementStatus::kTimedOut
-                                                          : MeasurementStatus::kFailed;
-            d.detail = options_.cancel.stop_reason();
-            return m;
-        }
-        if (attempt > 0) {
-            d.retries = attempt;
-            if (engine_ready_ && backoff > 0.0) {
-                try {
-                    chip_.engine().run_for(backoff);
-                    d.backoff_s_total += backoff;
-                } catch (const circuit::ConvergenceError&) {
-                } catch (const circuit::SolveAborted&) {
-                    // Token fired during the dwell; the loop-top poll exits.
-                }
-                backoff *= policy.backoff_factor;
-            }
-        }
-        if (!verify_scan_chain()) {
-            d.suspect = SuspectedFault::kScanChain;
-            d.detail = "IDCODE readback mismatch";
-            continue;
-        }
-        const std::uint64_t edges_before = chip_.fvc_edges();
-        try {
-            open_session();
-            ++d.reopened_sessions;
-            if (options_.lint_before_measure) {
-                set_select(word);
-                lint::Report preflight;
-                lint_preflight(word, preflight);
-                if (preflight.has_errors()) {
-                    d.suspect = SuspectedFault::kConfigLint;
-                    d.status = MeasurementStatus::kFailed;
-                    d.detail = first_lint_error(preflight);
-                    return m;
-                }
-            }
-            m.vout = measure_freq_vout(use_fin);
-            m.settled = last_settled_;
-        } catch (const circuit::SolveAborted& e) {
-            // The supervisor pulled the plug mid-solve.  A watchdog deadline
-            // on our token maps to kTimedOut; anything else is a campaign
-            // cancel.  Either way the token stays fired — retrying is
-            // pointless, so stop immediately.
-            d.suspect = SuspectedFault::kCancelled;
-            d.status = options_.cancel.deadline_expired() ? MeasurementStatus::kTimedOut
-                                                          : MeasurementStatus::kFailed;
-            d.detail = e.what();
-            return m;
-        } catch (const circuit::ConvergenceError& e) {
-            if (e.non_finite()) {
-                // NaN/Inf is deterministic arithmetic poison: a retry reruns
-                // the exact same blow-up, so fail fast with the located
-                // diagnosis instead of burning the budget.
-                d.suspect = SuspectedFault::kNonFinite;
-                d.status = MeasurementStatus::kNonFinite;
-                d.detail = e.what();
-                return m;
-            }
-            d.suspect = SuspectedFault::kConvergence;
-            d.detail = e.what();
-            continue;
-        }
-        if (!verify_select(word)) {
-            d.suspect = SuspectedFault::kSelectPath;
-            d.detail = "select-bus readback mismatch";
-            continue;
-        }
-        if (!m.settled) {
-            const MeasureOptions saved = options_;
-            options_.max_windows *= 2;
-            options_.freq_cycles_per_window *= 2;
-            try {
-                m.vout = measure_freq_vout(use_fin);
-                m.settled = last_settled_;
-            } catch (const circuit::ConvergenceError&) {
-                m.settled = false;
-            } catch (const circuit::SolveAborted&) {
-                m.settled = false;  // loop-top poll turns this into kCancelled
-            }
-            options_ = saved;
-            if (m.settled) {
-                d.fallback_used = true;
-                d.fallback = "extended settle window";
-            } else {
-                d.suspect = SuspectedFault::kNonSettling;
-                d.detail = "FVC read did not settle within the window budget";
-                continue;
-            }
-        }
-        m.edges = chip_.fvc_edges() - edges_before;
-        // Liveness for a frequency read is clock activity at the FVC input.
-        if (m.edges < 8) {
-            std::ostringstream os;
-            os << "FVC clock inactive (" << m.edges << " edges during the read)";
-            d.suspect = SuspectedFault::kSignalPath;
-            d.detail = os.str();
-            continue;
-        }
-        // Bus isolation (see measure_power_checked): open the FVC's bus path
-        // and require both ATAP pins dead, catching switches stuck closed.
-        {
-            const auto mute = static_cast<std::uint8_t>(
-                word & ~select_word({SelectBit::kFdetToAb1}));
-            set_select(mute);
-            const double v1 = liveness_read(chip_.at1());
-            const double v2 = liveness_read(chip_.at2());
-            set_select(word);
-            if (std::fabs(v1) >= policy.liveness_min_v ||
-                std::fabs(v2) >= policy.liveness_min_v) {
-                std::ostringstream os;
-                os << "analog bus not isolated when muted (v(AT1) = " << v1
-                   << " V, v(AT2) = " << v2 << " V): switch stuck closed?";
-                d.suspect = SuspectedFault::kSignalPath;
-                d.detail = os.str();
-                continue;
-            }
-        }
-        if (cal.valid()) {
-            const YRange range = curve_y_range(cal);
-            const double margin = policy.range_margin * range.span();
-            if (m.vout < range.lo - margin || m.vout > range.hi + margin) {
-                std::ostringstream os;
-                os << "Vout = " << m.vout << " V outside calibration range [" << range.lo
-                   << ", " << range.hi << "] V";
-                d.suspect = SuspectedFault::kSignalPath;
-                d.detail = os.str();
-                continue;
-            }
-            m.ghz = cal.invert(m.vout);
-            // Same rationale as the power path: compare in the GHz domain,
-            // where the tolerance tracks the stimulus rather than the local
-            // slope of the FVC curve.
-            if (expected_ghz) {
-                const double tol = policy.expected_tol * (cal.x_max() - cal.x_min());
-                if (std::fabs(m.ghz - *expected_ghz) > tol) {
-                    std::ostringstream os;
-                    os << "measured " << m.ghz << " GHz deviates from expected "
-                       << *expected_ghz << " GHz (tolerance " << tol << " GHz)";
-                    d.suspect = SuspectedFault::kSignalPath;
-                    d.detail = os.str();
-                    continue;
-                }
-            }
-        }
-        m.valid = true;
-        d.status = (d.retries > 0 || d.fallback_used) ? MeasurementStatus::kDegraded
-                                                      : MeasurementStatus::kOk;
-        if (d.status == MeasurementStatus::kDegraded && d.detail.empty()) {
-            d.detail = "succeeded after retry";
-        }
-        // First-try clean reads only (see measure_power_checked).
-        if (!use_fin && d.status == MeasurementStatus::kOk) {
-            surrogate_observe(rf::surrogate::Quantity::kFreqVout,
-                              chip_.conditions().vdd_fdet, m.vout);
-        }
-        return m;
-    }
-    if (cal.valid()) m.ghz = cal.invert(m.vout);
-    d.status = d.suspect == SuspectedFault::kSignalPath ? MeasurementStatus::kDegraded
-                                                        : MeasurementStatus::kFailed;
+    CheckedRead q;
+    q.word = use_fin ? select_word({SelectBit::kFdetToAb1, SelectBit::kDetectorPower,
+                                    SelectBit::kInputSelectFin})
+                     : select_word({SelectBit::kFdetToAb1, SelectBit::kDetectorPower});
+    q.routes = select_word({SelectBit::kFdetToAb1});
+    q.read = [this, use_fin] { return measure_freq_vout(use_fin); };
+    // Liveness for a frequency read is clock activity at the FVC input.
+    q.alive = [&m](std::uint64_t edges) {
+        m.edges = edges;
+        std::ostringstream os;
+        if (edges < 8) os << "FVC clock inactive (" << edges << " edges during the read)";
+        return os.str();
+    };
+    q.quantity = rf::surrogate::Quantity::kFreqVout;
+    q.vdd = chip_.conditions().vdd_fdet;
+    // The fin path measures a different input, whose frequency the
+    // surrogate key does not describe.
+    q.surrogate = !use_fin;
+    q.read_name = "FVC";
+    q.unit = "GHz";
+    q.tol_unit = "GHz";
+    m.valid = run_checked(q, cal, expected_ghz, m, m.ghz);
     return m;
 }
 

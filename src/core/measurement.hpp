@@ -85,26 +85,25 @@ struct MeasurementDiagnostics {
     std::string to_string() const;
 };
 
-/// A converted power reading.
-struct PowerMeasurement {
-    double dbm = 0.0;        ///< estimated input power
-    double vout = 0.0;       ///< raw settled detector output (V)
-    bool settled = true;     ///< the DC read converged
+/// What every detector reading carries, whichever quantity it converts.
+struct DetectorReading {
+    double vout = 0.0;              ///< raw settled detector output (V)
+    bool settled = true;            ///< the settled read converged
     bool from_surrogate = false;    ///< served by the surrogate tier, no solve
     double surrogate_bound = 0.0;   ///< |vout error| bound when served (V)
     MeasurementDiagnostics diag{};  ///< populated by the checked pipeline
 };
 
+/// A converted power reading.
+struct PowerMeasurement : DetectorReading {
+    double dbm = 0.0;  ///< estimated input power
+};
+
 /// A converted frequency reading.
-struct FrequencyMeasurement {
+struct FrequencyMeasurement : DetectorReading {
     double ghz = 0.0;         ///< estimated input frequency
-    double vout = 0.0;        ///< raw settled FVC output (V)
-    bool settled = true;
     std::uint64_t edges = 0;  ///< FVC clock activity during the read
     bool valid = false;       ///< edges seen and read settled
-    bool from_surrogate = false;    ///< served by the surrogate tier, no solve
-    double surrogate_bound = 0.0;   ///< |vout error| bound when served (V)
-    MeasurementDiagnostics diag{};  ///< populated by the checked pipeline
 };
 
 /// Read-through binding of a controller to the two-tier surrogate store.
@@ -219,10 +218,13 @@ class MeasurementController {
                                            bool use_fin = false);
 
     // --- hardened pipeline --------------------------------------------------
-    // The checked variants never throw on infrastructure trouble.  Each
-    // attempt verifies the scan chain (IDCODE readback), re-opens the 1149.4
-    // session, reads, verifies the select-bus readback, and sanity-checks the
-    // value (pin liveness / calibration range / expected stimulus).  Failures
+    // The checked variants never throw on infrastructure trouble.  Both run
+    // one loop (run_checked) over a per-quantity description of the read.
+    // Each attempt verifies the scan chain (IDCODE readback), re-opens the
+    // 1149.4 session, reads, verifies the select-bus readback, and
+    // sanity-checks the value: detector liveness (ATAP pin levels for power,
+    // FVC clock edges for frequency), bus isolation with the detector's
+    // routes opened, calibration range and expected stimulus.  Failures
     // retry with exponential backoff per options().retry; the outcome and
     // every fallback taken land in the result's .diag.
 
@@ -261,6 +263,14 @@ class MeasurementController {
     rf::surrogate::Decision last_surrogate_decision() const { return last_surrogate_; }
 
   private:
+    /// What the checked loop needs to know about one detector quantity.
+    struct CheckedRead;
+    /// The checked loop shared by measure_power_checked and
+    /// measure_frequency_checked.  Fills @p m and @p value (the reading
+    /// converted through @p cal); returns true when a value passed every
+    /// check or was served by the surrogate tier.
+    bool run_checked(const CheckedRead& read, const rfabm::rf::MonotoneCurve& cal,
+                     std::optional<double> expected, DetectorReading& m, double& value);
     /// Campaign-level flow admission (options().admission_program).  Fills
     /// @p d and returns true when the campaign is statically rejected.
     bool flow_admission_rejects(MeasurementDiagnostics& d);

@@ -55,6 +55,8 @@ const std::vector<RuleInfo>& rule_catalog() {
         {"erc-voltage-loop", Severity::kError,
          "loop of voltage sources (contradictory or redundant DC constraints)"},
         // --- flow-sensitive scan-program rules (lint/flow) --------------------
+        {"flow-abm-wrong-register", Severity::kError,
+         "ABM payload shifted while the latched instruction selects another register"},
         {"flow-bad-die", Severity::kError,
          "campaign step targets a die outside the declared chain topology"},
         {"flow-break-before-make", Severity::kError,
@@ -77,17 +79,6 @@ const std::vector<RuleInfo>& rule_catalog() {
         {"mux-select-mismatch", Severity::kError,
          ".4 MUX switch state disagrees with the latched select word (stuck switch)"},
         {"netlist-parse-error", Severity::kError, "netlist does not parse"},
-        // --- scan-program rules ---------------------------------------------
-        {"scan-dr-length", Severity::kError,
-         "DR scan length does not match the register selected by the active instruction"},
-        {"scan-from-unstable-state", Severity::kError,
-         "IR/DR scan launched from a non-stable TAP state"},
-        {"scan-missing-reset", Severity::kWarning,
-         "program never establishes Test-Logic-Reset before its first scan"},
-        {"scan-stray-shift", Severity::kWarning,
-         "raw TMS move passes through Shift-IR/Shift-DR, clocking unintended data"},
-        {"scan-unstable-endpoint", Severity::kError,
-         "program ends in a non-stable TAP state"},
         // --- select-bus rules -----------------------------------------------
         {"select-bus-conflict", Severity::kError,
          "select word routes two drivers (or a driver and a load) onto one analog bus"},

@@ -36,7 +36,7 @@ class Fnv1a {
 std::uint64_t flow_fingerprint(const CampaignProgram& program,
                                const FlowLintOptions& options) {
     Fnv1a h;
-    h.text("rfabm-flow-v1");
+    h.text("rfabm-flow-v2");  // bump whenever a rule change can flip a verdict
     h.word((options.check_calibration ? 1u : 0u) | (options.check_dead_updates ? 2u : 0u));
     h.word(program.chain.dies);
     h.word(program.ops.size());

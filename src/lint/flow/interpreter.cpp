@@ -156,6 +156,7 @@ class Interpreter {
         tap_.scan(/*ir=*/false, kAbmBits * dies_.size());
         DieState* die = die_of(op, index);
         if (die == nullptr) return;
+        if (abm_payload_misses_boundary(op, index, *die)) return;
 
         const std::array<Tri, kAbmBits> before{
             die->abm[0], die->abm[1], die->abm[2], die->abm[3], die->abm[4], die->abm[5]};
@@ -315,6 +316,26 @@ class Interpreter {
     /// a cross-die read may have depended on).
     void observe_selects() {
         for (DieState& die : dies_) die.select_observed = true;
+    }
+
+    /// The payload lands in whatever register the latched instruction
+    /// selects.  Unless that is the boundary register, the ABM latches keep
+    /// their values: fire, and tell the caller to leave them alone.
+    bool abm_payload_misses_boundary(const FlowOp& op, std::size_t index,
+                                     const DieState& die) {
+        if (die.ir < 0) return false;
+        const auto instruction = jtag::decode_instruction(static_cast<std::uint8_t>(die.ir));
+        if (jtag::selects_boundary(instruction)) return false;
+        const std::string name(jtag::to_string(instruction));
+        Diagnostic diag = base(op, index, "flow-abm-wrong-register", Severity::kError);
+        diag.message = step_label(op, index) + ": ABM payload for die " +
+                       std::to_string(op.die) + " is shifted into the " + name +
+                       " register; the boundary latches keep their values";
+        diag.fixit = "scan EXTEST or PROBE before the payload";
+        diag.witness = {witness_line(die.ir_step, "latches instruction '" + name + "'"),
+                        witness_line(index, "shifts the ABM payload")};
+        report_.add(std::move(diag));
+        return true;
     }
 
     void check_crowbar(const FlowOp& op, std::size_t index, DieState& die,

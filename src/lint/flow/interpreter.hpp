@@ -1,11 +1,11 @@
 // Flow-sensitive abstract interpretation of campaign scan programs.
 //
-// The snapshot linters (lint/abm_rules.hpp, lint/scan_program.hpp) check one
-// latched state or one TAP walk in isolation; the defect classes that kill
-// campaigns are *temporal* — they only exist between steps.  flow_lint()
-// symbolically executes a CampaignProgram through the real 16-state TAP
-// machine (jtag/tap_state.hpp), maintaining the abstract lattice of latched
-// state per die (lattice.hpp), and fires rules the snapshot linters cannot
+// The snapshot linter (lint/abm_rules.hpp) checks one latched state in
+// isolation; the defect classes that kill campaigns are *temporal* — they
+// only exist between steps.  flow_lint() symbolically executes a
+// CampaignProgram through the real 16-state TAP machine
+// (jtag/tap_state.hpp), maintaining the abstract lattice of latched state
+// per die (lattice.hpp), and fires rules the snapshot linter cannot
 // express:
 //
 //   flow-crowbar-window        SH and SL latched closed together in the
@@ -20,6 +20,9 @@
 //   flow-unpowered-read        a detector read while the power-gating select
 //                              bit is not known to be on
 //   flow-measure-before-calibrate  a die measured before it was calibrated
+//   flow-abm-wrong-register    an ABM payload shifted while the latched
+//                              instruction selects another register (the
+//                              latches keep their values)
 //   flow-dead-update           a select update overwritten before any step
 //                              observes it (dead store / dead program step)
 //

@@ -2,11 +2,9 @@
 //
 // A CampaignProgram is the *sequence* of scan programs a campaign will play
 // against one chain: TAP resets, IR scans, boundary/select payloads and the
-// measurement/calibration steps between them.  It is deliberately richer
-// than lint/scan_program.hpp's ScanOp list — the snapshot linter checks one
-// program's TAP walk in isolation, while the flow interpreter needs the
-// payload *contents* (abstract bits) and the campaign steps (measure,
-// calibrate) that give the latched state temporal meaning.
+// measurement/calibration steps between them: the payload *contents*
+// (abstract bits) and the campaign steps (measure, calibrate) that give the
+// latched state temporal meaning.
 //
 // Programs come from three places: the builder API below (tests, the
 // measurement admission tier), the text format in parser.hpp (the abm_lint

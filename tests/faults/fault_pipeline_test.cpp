@@ -7,12 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <optional>
+#include <string>
 
 #include "core/calibration.hpp"
 #include "core/measurement.hpp"
 #include "faults/campaign.hpp"
 #include "faults/circuit_faults.hpp"
 #include "faults/jtag_faults.hpp"
+#include "lint/flow/program.hpp"
+#include "rf/surrogate/store.hpp"
 #include "rf/sweep.hpp"
 
 namespace rfabm::faults {
@@ -161,6 +166,288 @@ TEST_F(FaultPipelineFixture, DiagnosticsFormatting) {
     EXPECT_NE(s.find("Degraded"), std::string::npos) << s;
     EXPECT_NE(s.find("signal-path"), std::string::npos) << s;
     EXPECT_NE(s.find("whatever happened"), std::string::npos) << s;
+}
+
+// --- every branch of the checked read, on both detectors ---------------------
+//
+// Each test builds a fresh chip carrying the suite's DC calibration, so a
+// finding (volts included) does not depend on which tests ran before it in
+// the same process.  Power reads stay at +4 dBm and above: below the FVC
+// threshold the stopped converter clock can leave Fdet.vout running away,
+// and that leaks through the open Fdet -> AB1 switch into the bus-isolation
+// check (see ROADMAP item 4).  Stopped-clock frequency reads pin only their
+// verdict, never their volts or GHz.
+
+enum class Quantity { kPower, kFrequency };
+
+/// The quantity-independent outcome of one checked read.
+struct CheckedOutcome {
+    core::MeasurementDiagnostics diag;
+    double value = 0.0;  ///< dBm or GHz
+    bool valid = true;   ///< FrequencyMeasurement::valid (power: always true)
+};
+
+class CheckedReadFixture : public ::testing::Test {
+  protected:
+    static void SetUpTestSuite() {
+        core::RfAbmChip chip{core::RfAbmChipConfig{}};
+        core::MeasurementController controller(chip);
+        controller.open_session();
+        calibration_ = new core::DcCalibration(core::dc_calibrate(controller));
+        power_curve_ = new rf::MonotoneCurve(
+            core::acquire_power_curve(controller, rf::arange(-20.0, 6.0, 6.5), 1.5e9));
+        freq_curve_ = new rf::MonotoneCurve(
+            core::acquire_frequency_curve(controller, rf::arange(0.9, 2.1, 0.3), 6.0));
+    }
+
+    static void TearDownTestSuite() {
+        delete freq_curve_;
+        delete power_curve_;
+        delete calibration_;
+        freq_curve_ = nullptr;
+        power_curve_ = nullptr;
+        calibration_ = nullptr;
+    }
+
+    /// A fresh calibrated chip under @p options, driven at @p dbm, 1.5 GHz.
+    void start(core::MeasureOptions options = {}, double dbm = 6.0) {
+        controller_.reset();
+        chip_ = std::make_unique<core::RfAbmChip>(core::RfAbmChipConfig{});
+        controller_ = std::make_unique<core::MeasurementController>(*chip_, options);
+        controller_->open_session();
+        controller_->apply_tune_p(calibration_->tune_p.bench_volts);
+        controller_->apply_tune_f(calibration_->tune_f.bench_volts);
+        chip_->set_rf(dbm, 1.5e9);
+    }
+
+    /// One checked read of @p quantity on the RF path.
+    CheckedOutcome read(Quantity quantity, std::optional<double> expected = std::nullopt) {
+        if (quantity == Quantity::kPower) {
+            const core::PowerMeasurement m =
+                controller_->measure_power_checked(*power_curve_, expected);
+            return {m.diag, m.dbm, true};
+        }
+        const core::FrequencyMeasurement m =
+            controller_->measure_frequency_checked(*freq_curve_, false, expected);
+        return {m.diag, m.ghz, m.valid};
+    }
+
+    circuit::Switch& mux_switch(core::SelectBit bit) { return chip_->mux().switch_for(bit); }
+
+    static core::DcCalibration* calibration_;
+    static rf::MonotoneCurve* power_curve_;
+    static rf::MonotoneCurve* freq_curve_;
+    std::unique_ptr<core::RfAbmChip> chip_;
+    std::unique_ptr<core::MeasurementController> controller_;
+};
+
+core::DcCalibration* CheckedReadFixture::calibration_ = nullptr;
+rf::MonotoneCurve* CheckedReadFixture::power_curve_ = nullptr;
+rf::MonotoneCurve* CheckedReadFixture::freq_curve_ = nullptr;
+
+/// The same case on both detectors.
+class CheckedBranchFixture : public CheckedReadFixture,
+                             public ::testing::WithParamInterface<Quantity> {
+  protected:
+    CheckedOutcome read(std::optional<double> expected = std::nullopt) {
+        return CheckedReadFixture::read(GetParam(), expected);
+    }
+
+    /// @p power when the test reads power, else @p frequency.
+    template <class T>
+    T per_quantity(T power, T frequency) const {
+        return GetParam() == Quantity::kPower ? power : frequency;
+    }
+};
+
+TEST_P(CheckedBranchFixture, HealthyReadIsOk) {
+    start();
+    const CheckedOutcome m = read(per_quantity(6.0, 1.5));
+    EXPECT_EQ(m.diag.to_string(), "Ok (suspect: none, retries: 0, sessions: 1)");
+    EXPECT_TRUE(m.valid);
+    EXPECT_NEAR(m.value, per_quantity(6.0, 1.5), per_quantity(0.5, 0.02));
+}
+
+TEST_P(CheckedBranchFixture, StuckOpenRouteIsDegradedNotSilent) {
+    start();
+    StuckSwitchFault fault(
+        "stuckopen", mux_switch(per_quantity(core::SelectBit::kOutMinusToAb2,
+                                             core::SelectBit::kFdetToAb1)),
+        circuit::SwitchFault::kStuckOpen);
+    fault.arm();
+    const CheckedOutcome m = read();
+    fault.disarm();
+    EXPECT_EQ(m.diag.to_string(), per_quantity<std::string>(
+                  "Degraded (suspect: signal-path, retries: 2, sessions: 3, backoff: 150 ns): "
+                  "ATAP pin liveness check failed (v(AT1) = 1.98749 V, v(AT2) = 0.0603327 V)",
+                  "Degraded (suspect: signal-path, retries: 2, sessions: 3, backoff: 150 ns): "
+                  "Vout = 0.0578436 V outside calibration range [0.953946, 2.20145] V"));
+    EXPECT_EQ(m.valid, per_quantity(true, false));  // power has no validity flag
+}
+
+TEST_P(CheckedBranchFixture, StuckClosedRouteFailsBusIsolation) {
+    // Reading power, the FVC output's route stays closed; reading frequency,
+    // the power detector's out+ route does.
+    start();
+    StuckSwitchFault fault(
+        "stuckclosed", mux_switch(per_quantity(core::SelectBit::kFdetToAb1,
+                                               core::SelectBit::kOutPlusToAb1)),
+        circuit::SwitchFault::kStuckClosed);
+    fault.arm();
+    const CheckedOutcome m = read();
+    fault.disarm();
+    EXPECT_EQ(m.diag.to_string(), per_quantity<std::string>(
+                  "Degraded (suspect: signal-path, retries: 2, sessions: 3, backoff: 150 ns, "
+                  "fallback: extended settle window): analog bus not isolated when muted "
+                  "(v(AT1) = 1.33045 V, v(AT2) = 0.0618822 V): switch stuck closed?",
+                  "Degraded (suspect: signal-path, retries: 2, sessions: 3, backoff: 150 ns): "
+                  "analog bus not isolated when muted (v(AT1) = 1.9879 V, v(AT2) = "
+                  "0.0612263 V): switch stuck closed?"));
+}
+
+TEST_P(CheckedBranchFixture, ExpectedStimulusMismatchIsDegraded) {
+    start();
+    const CheckedOutcome m = read(per_quantity(-4.0, 1.9));
+    EXPECT_EQ(m.diag.to_string(), per_quantity<std::string>(
+                  "Degraded (suspect: signal-path, retries: 2, sessions: 3, backoff: 150 ns): "
+                  "measured 5.93126 dBm deviates from expected -4 dBm (tolerance 5.2 dB)",
+                  "Degraded (suspect: signal-path, retries: 2, sessions: 3, backoff: 150 ns): "
+                  "measured 1.50084 GHz deviates from expected 1.9 GHz (tolerance 0.24 GHz)"));
+}
+
+TEST_P(CheckedBranchFixture, StuckTdoFailsWithScanChainSuspect) {
+    start();
+    StuckLineFault fault("stuck0:TDO", chip_->tap_driver(), StuckLineFault::Line::kTdo,
+                         false);
+    fault.arm();
+    const CheckedOutcome m = read();
+    fault.disarm();
+    EXPECT_EQ(m.diag.to_string(),
+              "Failed (suspect: scan-chain, retries: 2, sessions: 0, backoff: 150 ns): "
+              "IDCODE readback mismatch");
+    EXPECT_EQ(m.valid, per_quantity(true, false));  // power has no validity flag
+}
+
+TEST_P(CheckedBranchFixture, TckGlitchBurstHealsThroughRetry) {
+    start();
+    TckGlitchFault fault("burst:TCK", chip_->tap_driver(), TckGlitchConfig{.burst_edges = 60});
+    fault.arm();
+    const CheckedOutcome m = read();
+    fault.disarm();
+    EXPECT_EQ(m.diag.to_string(), "Degraded (suspect: scan-chain, retries: 1, sessions: 1, backoff: 50 ns): "
+              "IDCODE readback mismatch");
+    EXPECT_TRUE(m.valid);
+}
+
+TEST_P(CheckedBranchFixture, StuckSelectLineFailsWithSelectPathSuspect) {
+    start();
+    StuckLineFault fault("stuck1:SEL", chip_->select_bus(), true);
+    fault.arm();
+    const CheckedOutcome m = read();
+    fault.disarm();
+    EXPECT_EQ(m.diag.to_string(),
+              "Failed (suspect: select-path, retries: 2, sessions: 3, backoff: 150 ns): "
+              "select-bus readback mismatch");
+}
+
+TEST_P(CheckedBranchFixture, ShortWindowBudgetFailsNonSettling) {
+    // Two windows, four on the fallback: both below the five a settle needs.
+    core::MeasureOptions options;
+    options.max_windows = 2;
+    start(options);
+    const CheckedOutcome m = read();
+    EXPECT_EQ(m.diag.to_string(),
+              std::string("Failed (suspect: non-settling, retries: 2, sessions: 3, "
+                          "backoff: 150 ns): ") +
+                  per_quantity("DC", "FVC") + " read did not settle within the window budget");
+    EXPECT_EQ(m.valid, per_quantity(true, false));  // power has no validity flag
+}
+
+INSTANTIATE_TEST_SUITE_P(Quantities, CheckedBranchFixture,
+                         ::testing::Values(Quantity::kPower, Quantity::kFrequency),
+                         [](const ::testing::TestParamInfo<Quantity>& info) {
+                             return info.param == Quantity::kPower ? "power" : "frequency";
+                         });
+
+// --- branches only the frequency read has ---------------------------------
+
+TEST_F(CheckedReadFixture, FrequencyStoppedFvcClockIsDegradedSignalPath) {
+    start(core::MeasureOptions{}, -7.0);
+    const CheckedOutcome m = read(Quantity::kFrequency);
+    EXPECT_EQ(m.diag.to_string(),
+              "Degraded (suspect: signal-path, retries: 2, sessions: 3, backoff: 150 ns): "
+              "FVC clock inactive (0 edges during the read)");
+    EXPECT_FALSE(m.valid);
+}
+
+TEST_F(CheckedReadFixture, FrequencyExtendedWindowFallbackRescuesTheRead) {
+    // Three windows cannot settle; the fallback's six can.
+    core::MeasureOptions options;
+    options.max_windows = 3;
+    start(options);
+    const CheckedOutcome m = read(Quantity::kFrequency);
+    EXPECT_EQ(m.diag.to_string(),
+              "Degraded (suspect: none, retries: 0, sessions: 1, fallback: extended settle "
+              "window): succeeded after retry");
+    EXPECT_TRUE(m.valid);
+    // The fallback's windows are twice as long as well as twice as many:
+    // with the 8-cycle window kept, the read lands 1.2e-6 GHz lower.
+    EXPECT_NEAR(m.value, 1.5008450558933926, 1e-7);
+}
+
+TEST_F(CheckedReadFixture, FrequencyLintPreflightRejectsBeforeAnyRead) {
+    core::MeasureOptions options;
+    options.lint_before_measure = true;
+    start(options);
+    StuckSwitchFault fault("stuckopen:MUX4.fdet", mux_switch(core::SelectBit::kFdetToAb1),
+                           circuit::SwitchFault::kStuckOpen);
+    fault.arm();
+    const CheckedOutcome m = read(Quantity::kFrequency);
+    fault.disarm();
+    EXPECT_EQ(m.diag.to_string(), "Failed (suspect: config-lint, retries: 0, sessions: 1): switch 'MUX4.fdet' "
+              "is stuck open and ignores its control input [erc-device-fault]");
+    EXPECT_FALSE(m.valid);
+}
+
+TEST_F(CheckedReadFixture, FrequencyFlowAdmissionRejectsBeforeTheTap) {
+    // The program reads the frequency detector with detector power off.
+    lint::flow::CampaignProgram program;
+    program.reset()
+        .ir_scan(jtag::Instruction::kProbe)
+        .select(0, "00000100")
+        .calibrate(0)
+        .measure(0, lint::flow::Detector::kFrequency);
+    core::MeasureOptions options;
+    options.admission_program = &program;
+    start(options);
+    const std::uint64_t tck = chip_->tap_driver().tck_count();
+    const CheckedOutcome m = read(Quantity::kFrequency);
+    EXPECT_EQ(m.diag.to_string(), "Failed (suspect: config-lint, retries: 0, sessions: 0): step 5 (measure die 0 "
+              "freq): reads the freq detector while detector power is latched off "
+              "[flow-unpowered-read]");
+    EXPECT_EQ(chip_->tap_driver().tck_count(), tck);
+    EXPECT_FALSE(m.valid);
+}
+
+TEST_F(CheckedReadFixture, FrequencyFinPathNeverConsultsTheSurrogate) {
+    // The surrogate key describes the RF input; a fin read must neither ask
+    // the store nor train it, while the same read on the RF path does both.
+    rf::surrogate::SurrogateStore store;
+    core::MeasureOptions options;
+    options.surrogate.store = &store;
+    start(options);
+    chip_->set_fin(8.0, 180e6);
+    const core::FrequencyMeasurement fin =
+        controller_->measure_frequency_checked(*freq_curve_, /*use_fin=*/true);
+    EXPECT_EQ(fin.diag.status, core::MeasurementStatus::kOk) << fin.diag.to_string();
+    EXPECT_EQ(store.counters().misses, 0u);
+    EXPECT_EQ(store.counters().observed, 0u);
+
+    chip_->fin_off();
+    const core::FrequencyMeasurement rf = controller_->measure_frequency_checked(*freq_curve_);
+    EXPECT_EQ(rf.diag.status, core::MeasurementStatus::kOk) << rf.diag.to_string();
+    EXPECT_EQ(store.counters().misses, 1u);
+    EXPECT_EQ(store.counters().observed, 1u);
 }
 
 }  // namespace

@@ -106,7 +106,7 @@ TEST(Diagnostics, CatalogIsSortedAndQueryable) {
                                [](const RuleInfo& a, const RuleInfo& b) { return a.id < b.id; }));
     EXPECT_TRUE(is_known_rule("erc-floating-node"));
     EXPECT_TRUE(is_known_rule("abm-sh-sl-short"));
-    EXPECT_TRUE(is_known_rule("scan-dr-length"));
+    EXPECT_TRUE(is_known_rule("flow-abm-wrong-register"));
     EXPECT_FALSE(is_known_rule("no-such-rule"));
 }
 

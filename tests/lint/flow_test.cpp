@@ -129,6 +129,53 @@ TEST(FlowInterpreter, UnknownBitsStayConservativelyQuiet) {
     EXPECT_FALSE(fires(report, "flow-crowbar-window")) << report.to_text();
 }
 
+/// Interpret a program written in the text format.
+Report lint_text(const std::string& text) {
+    CampaignProgram program;
+    Report report;
+    EXPECT_TRUE(parse_program(text, "t.prog", program, report)) << report.to_text();
+    flow_lint(program, report);
+    return report;
+}
+
+TEST(FlowInterpreter, AbmPayloadUnderBypassLeavesTheLatchesAlone) {
+    // The payload meant to open SH goes into the BYPASS register, so SH is
+    // still closed when the last update closes SL: a crowbar on silicon.
+    const Report report = lint_text(
+        "reset\n"
+        "irscan EXTEST\n"
+        "abm 0 100000\n"
+        "irscan BYPASS\n"
+        "abm 0 000000\n"
+        "irscan EXTEST\n"
+        "abm 0 x1xxxx\n");
+    const Diagnostic* wrong = find(report, "flow-abm-wrong-register");
+    ASSERT_NE(wrong, nullptr) << report.to_text();
+    EXPECT_EQ(wrong->severity, Severity::kError);
+    EXPECT_EQ(wrong->loc.line, 5u);
+    ASSERT_EQ(wrong->witness.size(), 2u);
+    EXPECT_NE(wrong->witness[0].find("step 4"), std::string::npos) << wrong->witness[0];
+    EXPECT_NE(wrong->witness[0].find("BYPASS"), std::string::npos) << wrong->witness[0];
+    const Diagnostic* crowbar = find(report, "flow-crowbar-window");
+    ASSERT_NE(crowbar, nullptr) << report.to_text();
+    EXPECT_NE(crowbar->witness[0].find("step 3"), std::string::npos) << crowbar->witness[0];
+}
+
+TEST(FlowInterpreter, AbmPayloadUnderIdcodeCannotCrowbar) {
+    // After a reset IDCODE is latched: both payloads land in IDCODE and
+    // neither reaches SH or SL.
+    const Report report = lint_text(
+        "reset\n"
+        "abm 0 100000\n"
+        "abm 0 x1xxxx\n");
+    EXPECT_FALSE(fires(report, "flow-crowbar-window")) << report.to_text();
+    std::size_t wrong = 0;
+    for (const auto& diag : report.diagnostics()) {
+        if (diag.rule == "flow-abm-wrong-register") ++wrong;
+    }
+    EXPECT_EQ(wrong, 2u) << report.to_text();
+}
+
 TEST(FlowInterpreter, BreakBeforeMakeViolationFires) {
     CampaignProgram program;
     program.reset()
@@ -290,9 +337,10 @@ TEST(FlowInterpreter, DieOutsideChainFires) {
 
 TEST(FlowInterpreter, AllFlowRulesAreInTheCatalog) {
     for (const char* rule :
-         {"flow-bad-die", "flow-break-before-make", "flow-bus-contention",
-          "flow-crowbar-window", "flow-dead-update", "flow-measure-before-calibrate",
-          "flow-parse-error", "flow-read-before-select", "flow-unpowered-read"}) {
+         {"flow-abm-wrong-register", "flow-bad-die", "flow-break-before-make",
+          "flow-bus-contention", "flow-crowbar-window", "flow-dead-update",
+          "flow-measure-before-calibrate", "flow-parse-error", "flow-read-before-select",
+          "flow-unpowered-read"}) {
         EXPECT_TRUE(is_known_rule(rule)) << rule;
     }
 }

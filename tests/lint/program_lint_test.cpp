@@ -1,13 +1,11 @@
 // 1149.4 program lint: ABM/TBIC switch-state rules driven through injected
-// stuck-at defects, select-word contention rules, and the TAP state-machine
-// validation of scan programs.
+// stuck-at defects, and select-word contention rules.
 #include <gtest/gtest.h>
 
 #include "circuit/circuit.hpp"
 #include "jtag/abm.hpp"
 #include "jtag/tbic.hpp"
 #include "lint/abm_rules.hpp"
-#include "lint/scan_program.hpp"
 
 namespace rfabm::lint {
 namespace {
@@ -15,7 +13,6 @@ namespace {
 using circuit::SwitchFault;
 using jtag::AbmSwitch;
 using jtag::Instruction;
-using jtag::TapState;
 using jtag::TbicSwitch;
 
 bool has_rule(const Report& report, const std::string& rule) {
@@ -219,86 +216,6 @@ TEST(SelectLint, UnpoweredDriverIsAWarning) {
     Report r;
     lint_select_word(test_model(), (1u << 0) | (1u << 1), r);
     EXPECT_TRUE(has_rule(r, "select-unpowered")) << r.to_text();
-}
-
-// --- scan-program rules -----------------------------------------------------
-
-TEST(ScanLint, WellFormedProgramIsClean) {
-    ScanProgram p;
-    p.reset()
-        .scan_ir(Instruction::kIdcode)
-        .scan_dr(32)
-        .scan_ir(Instruction::kProbe)
-        .scan_dr(11)
-        .run_test(4)
-        .scan_ir(Instruction::kBypass)
-        .scan_dr(1);
-    Report r;
-    EXPECT_EQ(lint_scan_program(p, r, ScanLintOptions::with_boundary_length(11)), 0u)
-        << r.to_text();
-}
-
-TEST(ScanLint, MissingResetIsWarnedOnce) {
-    ScanProgram p;
-    p.scan_ir(Instruction::kIdcode).scan_dr(32);
-    Report r;
-    lint_scan_program(p, r, ScanLintOptions::with_boundary_length(11));
-    std::size_t count = 0;
-    for (const Diagnostic& d : r.diagnostics()) {
-        if (d.rule == "scan-missing-reset") ++count;
-    }
-    EXPECT_EQ(count, 1u) << r.to_text();
-}
-
-TEST(ScanLint, ScanFromUnstableState) {
-    ScanProgram p;
-    p.reset().move_to(TapState::kExit1Dr).scan_dr(32);
-    Report r;
-    lint_scan_program(p, r);
-    EXPECT_TRUE(has_rule(r, "scan-from-unstable-state")) << r.to_text();
-}
-
-TEST(ScanLint, DrLengthMismatch) {
-    ScanProgram p;
-    p.reset().scan_ir(Instruction::kBypass).scan_dr(8);
-    Report r;
-    lint_scan_program(p, r, ScanLintOptions::with_boundary_length(11));
-    EXPECT_TRUE(has_rule(r, "scan-dr-length")) << r.to_text();
-}
-
-TEST(ScanLint, ZeroLengthDrScan) {
-    ScanProgram p;
-    p.reset().scan_dr(0);
-    Report r;
-    lint_scan_program(p, r);
-    EXPECT_TRUE(has_rule(r, "scan-dr-length")) << r.to_text();
-}
-
-TEST(ScanLint, UnknownOpcodeFallsBackToBypassLength) {
-    // Unknown IR content decodes to BYPASS per the standard, so a 1-bit DR
-    // scan is the correct follow-up and anything else is flagged.
-    ScanProgram p;
-    p.reset().scan_ir(std::uint8_t{0x5A}).scan_dr(1);
-    Report r;
-    EXPECT_EQ(lint_scan_program(p, r, ScanLintOptions::with_boundary_length(11)), 0u)
-        << r.to_text();
-}
-
-TEST(ScanLint, StrayShiftOnRawTmsMove) {
-    // From Run-Test/Idle: 1 -> Select-DR, 0 -> Capture-DR, 0 -> Shift-DR.
-    ScanProgram p;
-    p.reset().move_to(TapState::kRunTestIdle).tms_path({true, false, false, true, true});
-    Report r;
-    lint_scan_program(p, r);
-    EXPECT_TRUE(has_rule(r, "scan-stray-shift")) << r.to_text();
-}
-
-TEST(ScanLint, UnstableEndpoint) {
-    ScanProgram p;
-    p.reset().move_to(TapState::kShiftDr);
-    Report r;
-    lint_scan_program(p, r);
-    EXPECT_TRUE(has_rule(r, "scan-unstable-endpoint")) << r.to_text();
 }
 
 }  // namespace
