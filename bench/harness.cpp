@@ -94,6 +94,18 @@ HarnessOptions parse_options(int argc, char** argv) {
             opts.surrogate_path = argv[++i];
         } else if (std::strcmp(argv[i], "--surrogate-max-bound") == 0 && i + 1 < argc) {
             opts.surrogate_max_bound = std::strtod(argv[++i], nullptr);
+        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+            opts.out_path = argv[++i];
+        } else {
+            // A typo'd flag must not silently run the full-length default.
+            std::fprintf(stderr,
+                         "%s: unknown flag or missing value: %s\n"
+                         "usage: %s [--fast] [--seed N] [--dies N] [--jobs N] [--out FILE]\n"
+                         "       [--journal FILE] [--resume] [--watchdog-ms N] [--watchdog-auto]\n"
+                         "       [--triage FILE] [--max-attempts N] [--shards N]\n"
+                         "       [--shard-index I] [--surrogate FILE] [--surrogate-max-bound V]\n",
+                         argv[0], argv[i], argv[0]);
+            std::exit(2);
         }
     }
     return opts;
@@ -191,17 +203,7 @@ void Exec::fold_surrogate_metrics() {
                            c.bound_too_loose - surrogate_folded_.bound_too_loose,
                            c.refits - surrogate_folded_.refits);
     surrogate_folded_ = c;
-    auto& s = last_triage_.surrogate;
-    s.enabled = true;
-    s.hits = c.hits;
-    s.misses = c.misses;
-    s.out_of_envelope = c.out_of_envelope;
-    s.bound_too_loose = c.bound_too_loose;
-    s.observed = c.observed;
-    s.refits = c.refits;
-    s.load_rejected = c.load_rejected;
-    s.surfaces = surrogate_->surfaces();
-    s.worst_error_bound = surrogate_->worst_error_bound();
+    last_triage_.surrogate = rfabm::exec::surrogate_stats(*surrogate_);
 }
 
 DieCalibration Exec::calibrate(const core::RfAbmChipConfig& config,
@@ -219,101 +221,122 @@ DieCalibration Exec::calibrate(const core::RfAbmChipConfig& config,
         token);
 }
 
-void Exec::run_cells(const core::RfAbmChipConfig& config,
-                     const std::vector<circuit::ProcessCorner>& dies,
-                     const std::vector<core::OperatingConditions>& envs,
-                     const std::function<void(DutSession&, std::size_t, std::size_t)>& cell) {
-    core::MeasureOptions mopts;
-    mopts.cancel = cancel_.token();
-    std::vector<rfabm::exec::DieChain> chains;
-    chains.reserve(dies.size());
-    for (std::size_t d = 0; d < dies.size(); ++d) {
-        rfabm::exec::DieChain chain;
-        // Warm the cache before the per-env fan-out, so corner measurements
-        // of one die never recalibrate concurrently.
-        chain.calibrate = [this, &config, &dies, d](rfabm::exec::TaskContext&) {
-            (void)calibrate(config, dies[d]);
-        };
-        for (std::size_t e = 0; e < envs.size(); ++e) {
-            chain.measurements.push_back({[this, &config, &dies, &envs, &cell, mopts, d,
-                                           e](rfabm::exec::TaskContext&) {
-                const DieCalibration cal = calibrate(config, dies[d]);
-                core::MeasureOptions cell_opts = mopts;
-                cell_opts.surrogate = surrogate_binding(config, dies[d], envs[e]);
-                DutSession dut(config, cal, envs[e], cell_opts);
-                metrics_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
-                cell(dut, d, e);
-                metrics_.add_newton(dut.chip.engine().newton_iterations());
-            }});
-        }
-        chains.push_back(std::move(chain));
-    }
-    run_chains(chains);
+Exec::GridDies Exec::memoized_dies(const core::RfAbmChipConfig& config,
+                                   const std::vector<circuit::ProcessCorner>& dies) {
+    GridDies grid;
+    grid.count = dies.size();
+    grid.calibration = [this, &config, &dies](std::size_t d,
+                                              const rfabm::exec::CancellationToken& token) {
+        return calibrate(config, dies[d], token);
+    };
+    grid.warm_first = true;
+    grid.identity = [&dies](rfabm::exec::FieldHasher& h) {
+        h.mix(static_cast<std::uint64_t>(dies.size()));
+        for (const auto& corner : dies) h.mix(rfabm::exec::hash_corner(corner));
+    };
+    return grid;
 }
 
-void Exec::run_cells_calibrated(
-    const core::RfAbmChipConfig& config, const std::vector<DieCalibration>& cals,
-    const std::vector<core::OperatingConditions>& envs,
-    const std::function<void(DutSession&, std::size_t, std::size_t)>& cell) {
-    core::MeasureOptions mopts;
-    mopts.cancel = cancel_.token();
-    std::vector<rfabm::exec::DieChain> chains;
-    chains.reserve(cals.size());
-    for (std::size_t d = 0; d < cals.size(); ++d) {
-        rfabm::exec::DieChain chain;  // no calibrate node: tunes are given
-        for (std::size_t e = 0; e < envs.size(); ++e) {
-            chain.measurements.push_back({[this, &config, &cals, &envs, &cell, mopts, d,
-                                           e](rfabm::exec::TaskContext&) {
-                core::MeasureOptions cell_opts = mopts;
-                cell_opts.surrogate = surrogate_binding(config, cals[d].corner, envs[e]);
-                DutSession dut(config, cals[d], envs[e], cell_opts);
-                metrics_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
-                cell(dut, d, e);
-                metrics_.add_newton(dut.chip.engine().newton_iterations());
-            }});
-        }
-        chains.push_back(std::move(chain));
-    }
-    run_chains(chains);
-}
-
-void Exec::run_chains(const std::vector<rfabm::exec::DieChain>& chains) {
-    if (pool_) {
-        last_result_ = rfabm::exec::run_campaign(*pool_, chains, cancel_.token(), &metrics_);
-    } else {
-        rfabm::exec::CampaignOptions copts;
-        copts.jobs = 1;
-        copts.token = cancel_.token();
-        copts.metrics = &metrics_;
-        last_result_ = rfabm::exec::run_campaign(chains, copts);
-    }
-    fold_surrogate_metrics();
-}
-
-std::uint64_t Exec::campaign_identity(const core::RfAbmChipConfig& config,
-                                      const std::vector<circuit::ProcessCorner>* dies,
-                                      const std::vector<DieCalibration>* cals,
-                                      std::size_t num_envs) const {
-    rfabm::exec::FieldHasher h;
-    h.mix(rfabm::exec::hash_chip_config(config));
-    h.mix(opts_.seed).mix(opts_.fast);
-    h.mix(static_cast<std::uint64_t>(num_envs));
-    h.mix(static_cast<std::uint64_t>(campaign_seq_));
-    if (dies != nullptr) {
-        h.mix(static_cast<std::uint64_t>(dies->size()));
-        for (const auto& corner : *dies) h.mix(rfabm::exec::hash_corner(corner));
-    }
-    if (cals != nullptr) {
-        h.mix(static_cast<std::uint64_t>(cals->size()));
-        for (const auto& cal : *cals) {
+Exec::GridDies Exec::given_dies(const std::vector<DieCalibration>& cals) {
+    GridDies grid;
+    grid.count = cals.size();
+    grid.calibration = [&cals](std::size_t d, const rfabm::exec::CancellationToken&) {
+        return cals[d];
+    };
+    grid.identity = [&cals](rfabm::exec::FieldHasher& h) {
+        h.mix(static_cast<std::uint64_t>(cals.size()));
+        for (const auto& cal : cals) {
             h.mix(rfabm::exec::hash_corner(cal.corner)).mix(cal.tune_p).mix(cal.tune_f);
         }
-    }
-    return h.value();
+    };
+    return grid;
 }
 
-void Exec::run_resilient_chains(const std::vector<rfabm::exec::ResilientChain>& chains,
-                                std::uint64_t campaign_id) {
+void Exec::run_grid(const core::RfAbmChipConfig& config, const GridDies& dies,
+                    const std::vector<core::OperatingConditions>& envs, const GridCell& cell,
+                    const GridSink& sink) {
+    // One cell on a fresh DUT session.  The token reaches the checked
+    // pipeline and the solver (a watchdog deadline aborts a hung solve);
+    // the heartbeat, when given, proves per-step progress.
+    const auto measure = [&](std::size_t d, std::size_t e,
+                             const rfabm::exec::CancellationToken& token,
+                             std::atomic<std::uint64_t>* heartbeat) {
+        const DieCalibration cal = dies.calibration(d, token);
+        core::MeasureOptions mopts;
+        mopts.cancel = token;
+        mopts.surrogate = surrogate_binding(config, cal.corner, envs[e]);
+        DutSession dut(config, cal, envs[e], mopts);
+        dut.chip.engine().options().cancel = token;
+        dut.chip.engine().options().heartbeat = heartbeat;
+        metrics_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
+        std::vector<double> payload = cell(dut, d, e);
+        metrics_.add_newton(dut.chip.engine().newton_iterations());
+        return payload;
+    };
+    const auto warm = [&dies](std::size_t d) {
+        return [&dies, d](rfabm::exec::TaskContext& ctx) { (void)dies.calibration(d, ctx.token); };
+    };
+    rfabm::exec::CampaignOptions copts;
+    copts.jobs = jobs_;
+    copts.metrics = &metrics_;
+
+    if (!resilient_) {
+        std::vector<rfabm::exec::DieChain> chains(dies.count);
+        for (std::size_t d = 0; d < dies.count; ++d) {
+            if (dies.warm_first) chains[d].calibrate = warm(d);
+            for (std::size_t e = 0; e < envs.size(); ++e) {
+                chains[d].measurements.push_back({[&, d, e](rfabm::exec::TaskContext& ctx) {
+                    sink(measure(d, e, ctx.token, nullptr), d, e);
+                }});
+            }
+        }
+        (void)rfabm::exec::run_campaign(chains, copts, pool_.get());
+        fold_surrogate_metrics();
+        return;
+    }
+
+    std::vector<rfabm::exec::ResilientChain> chains;
+    chains.reserve(dies.count);
+    for (std::size_t d = 0; d < dies.count; ++d) {
+        // Sharded run: this process only measures its own dies.  Cells of
+        // other shards stay default-initialized in the results; a caller
+        // wanting the full grid merges the shard journals instead
+        // (exec::merge_shard_journals, docs/sharding.md).
+        if (opts_.shard_count > 1 &&
+            rfabm::exec::shard_of_die(static_cast<std::uint32_t>(d),
+                                      static_cast<std::uint32_t>(opts_.shard_count)) !=
+                static_cast<std::uint32_t>(opts_.shard_index)) {
+            continue;
+        }
+        rfabm::exec::ResilientChain chain;
+        if (dies.warm_first) chain.calibrate = warm(d);
+        for (std::size_t e = 0; e < envs.size(); ++e) {
+            rfabm::exec::ResilientCell rc;
+            rc.key = {static_cast<std::uint32_t>(d), static_cast<std::uint32_t>(e), 0};
+            rc.compute = [&measure, d, e](const rfabm::exec::CellAttempt& att) {
+                rfabm::exec::CellComputeResult out;
+                out.payload = measure(d, e, att.token, att.heartbeat);
+                return out;
+            };
+            // Fresh and replayed payloads take the identical path into the
+            // cell's private slot: byte-identity by construction.
+            rc.deliver = [&sink, d, e](const std::vector<double>& payload,
+                                       rfabm::exec::CellOutcome,
+                                       bool) { sink(payload, d, e); };
+            chain.cells.push_back(std::move(rc));
+        }
+        chains.push_back(std::move(chain));
+    }
+
+    // Identity of the campaign: everything that affects its results.  A
+    // journal written under a different identity is never replayed.
+    rfabm::exec::FieldHasher identity;
+    identity.mix(rfabm::exec::hash_chip_config(config));
+    identity.mix(opts_.seed).mix(opts_.fast);
+    identity.mix(static_cast<std::uint64_t>(envs.size()));
+    identity.mix(static_cast<std::uint64_t>(campaign_seq_));
+    dies.identity(identity);
+
     rfabm::exec::ResilienceOptions ropts;
     if (!opts_.journal_path.empty()) {
         // Benches running several campaigns in one process number the later
@@ -329,28 +352,13 @@ void Exec::run_resilient_chains(const std::vector<rfabm::exec::ResilientChain>& 
         }
     }
     ropts.resume = opts_.resume;
-    ropts.campaign_id = campaign_id;
+    ropts.campaign_id = identity.value();
     ropts.cell_timeout = std::chrono::nanoseconds(
         static_cast<std::int64_t>(opts_.watchdog_ms * 1e6));
     ropts.watchdog.auto_tune = opts_.watchdog_auto;
     ropts.max_cell_attempts = opts_.max_cell_attempts;
-    ropts.on_journal_open = journal_open_hook_;
 
-    rfabm::exec::ResilientResult rr;
-    if (pool_) {
-        rfabm::exec::CampaignOptions copts;
-        copts.token = cancel_.token();
-        copts.metrics = &metrics_;
-        rr = rfabm::exec::run_resilient_campaign(chains, copts, ropts, pool_.get());
-    } else {
-        rfabm::exec::CampaignOptions copts;
-        copts.jobs = 1;
-        copts.token = cancel_.token();
-        copts.metrics = &metrics_;
-        rr = rfabm::exec::run_resilient_campaign(chains, copts, ropts);
-    }
-    last_result_ = rr.graph;
-    last_triage_ = rr.triage;
+    last_triage_ = rfabm::exec::run_resilient_campaign(chains, copts, ropts, pool_.get()).triage;
     fold_surrogate_metrics();
 
     if (!opts_.triage_path.empty()) {

@@ -44,7 +44,8 @@
 namespace rfabm::bench {
 
 /// Harness-wide options, parsed from argv (--fast, --seed N, --dies N,
-/// --jobs N) and the RFABM_FAST / RFABM_JOBS environment variables.
+/// --jobs N, --out FILE, ...) and the RFABM_FAST / RFABM_JOBS environment
+/// variables.
 struct HarnessOptions {
     bool fast = false;
     std::uint64_t seed = 20050307;  // DATE'05 session date, why not
@@ -52,6 +53,9 @@ struct HarnessOptions {
     /// Worker threads for the campaign engine: 0 = hardware concurrency,
     /// 1 = the historical serial path.
     std::size_t jobs = 0;
+    /// --out FILE: where a bench that records a BENCH_*.json writes it
+    /// (empty: the bench's own default file).
+    std::string out_path;
 
     // --- resilience flags (docs/resilience.md) ------------------------------
     /// --journal FILE: write-ahead journal of completed cells.  A bench that
@@ -83,9 +87,9 @@ struct HarnessOptions {
     /// store is loaded (and verified) at Exec construction and saved at
     /// destruction; measurements consult it before any transient solve and
     /// feed full-solve results back.  Sharded workers each persist to
-    /// FILE.shardI.sur; the coordinator merges them (SurrogateStore::
-    /// merge_from).  Empty = disabled: every measurement is bit-identical to
-    /// the pre-surrogate path.
+    /// exec::shard_surrogate_path(FILE, I); the coordinator merges them
+    /// (SurrogateStore::merge_from).  Empty = disabled: every measurement is
+    /// bit-identical to the pre-surrogate path.
     std::string surrogate_path;
     /// --surrogate-max-bound V: serve only surfaces whose published error
     /// bound is at or under this budget, in volts (<= 0 disables the check);
@@ -96,7 +100,8 @@ struct HarnessOptions {
     /// process is one shard of a fleet).
     std::string surrogate_store_path() const {
         if (surrogate_path.empty() || shard_count <= 1) return surrogate_path;
-        return surrogate_path + ".shard" + std::to_string(shard_index) + ".sur";
+        return rfabm::exec::shard_surrogate_path(surrogate_path,
+                                                 static_cast<std::uint32_t>(shard_index));
     }
 
     /// Any resilience feature requested?  Campaigns then run through
@@ -118,6 +123,8 @@ struct HarnessOptions {
     std::vector<circuit::ProcessCorner> dies() const;
 };
 
+/// Parse the harness flags.  An unknown flag, or one missing its value,
+/// prints a usage line and exits 2.
 HarnessOptions parse_options(int argc, char** argv);
 
 /// The nominal reference: curves measured on the nominal device, plus its
@@ -156,34 +163,17 @@ struct DutSession {
 
 /// Bit-exact payload codec between a bench's per-cell result type and the
 /// journal's raw-double payload.  encode/decode MUST round-trip exactly
-/// (store the doubles verbatim, no formatting): the resilient campaign
-/// routes *fresh* results through the same decode(encode(r)) path as
-/// replayed ones, which is what makes a resumed run byte-identical.
-/// Specialize per bench result type (common shapes provided below).
+/// (store the doubles verbatim, no formatting): every campaign routes its
+/// results through decode(encode(r)), fresh and replayed alike, which is
+/// what makes a resumed run byte-identical.  Specialize per bench result
+/// type (common shapes provided below).
 template <class R>
 struct JournalCodec;
-
-template <>
-struct JournalCodec<double> {
-    static std::vector<double> encode(double v) { return {v}; }
-    static double decode(const std::vector<double>& p) { return p.empty() ? 0.0 : p[0]; }
-};
 
 template <>
 struct JournalCodec<std::vector<double>> {
     static std::vector<double> encode(const std::vector<double>& v) { return v; }
     static std::vector<double> decode(const std::vector<double>& p) { return p; }
-};
-
-template <>
-struct JournalCodec<std::pair<bool, double>> {
-    static std::vector<double> encode(const std::pair<bool, double>& v) {
-        return {v.first ? 1.0 : 0.0, v.second};
-    }
-    static std::pair<bool, double> decode(const std::vector<double>& p) {
-        if (p.size() < 2) return {false, 0.0};
-        return {p[0] != 0.0, p[1]};
-    }
 };
 
 template <>
@@ -215,9 +205,7 @@ class Exec {
     explicit Exec(const HarnessOptions& opts);
     ~Exec();
 
-    std::size_t jobs() const { return jobs_; }
     rfabm::exec::CampaignMetrics& metrics() { return metrics_; }
-    rfabm::exec::CalibrationCache& cache() { return cache_; }
     /// The campaign's surrogate store (null when --surrogate is not given).
     rfabm::rf::surrogate::SurrogateStore* surrogate() { return surrogate_.get(); }
     /// Read-through binding for one campaign cell: die keyed by (chip
@@ -233,10 +221,6 @@ class Exec {
     /// campaign drivers call this at end of run; benches that hand-roll
     /// their cells call it before reading metrics().
     void fold_surrogate_metrics();
-    rfabm::exec::CancellationToken token() const { return cancel_.token(); }
-    /// Cancel the campaign: running cells finish, queued cells are skipped
-    /// and the checked measurement pipeline stops retrying.
-    void cancel() { cancel_.cancel(); }
 
     /// Memoized DC calibration of (config, corner).  @p token (when given)
     /// lets a waiter stop waiting on a failed leader (see CalibrationCache).
@@ -246,29 +230,21 @@ class Exec {
 
     /// Run @p cell for every (die, env) on the engine: per die, a calibrate
     /// node (cache-memoized) fans out one measurement task per environment.
-    /// Each task gets a fresh DutSession wired to this context's
-    /// cancellation token.  Results return in die-major, env-minor order —
-    /// the historical serial order — regardless of worker count.
+    /// Each task gets a fresh DutSession.  Results return in die-major,
+    /// env-minor order — the historical serial order — regardless of worker
+    /// count.
     ///
     /// When the harness options request resilience (--journal / --resume /
     /// --watchdog-ms / --triage), the campaign instead runs through
     /// exec::run_resilient_campaign: cells journal as they complete, resumes
     /// replay the journal bit-exactly through JournalCodec<R>, hung attempts
     /// are reclaimed by the watchdog, and repeat offenders are quarantined.
-    /// Fresh results also pass through the codec round-trip, so resumed and
-    /// uninterrupted runs produce byte-identical output.
     template <class R>
     std::vector<R> map_die_env(
         const core::RfAbmChipConfig& config, const std::vector<circuit::ProcessCorner>& dies,
         const std::vector<core::OperatingConditions>& envs,
         const std::function<R(DutSession&, std::size_t die, std::size_t env)>& cell) {
-        if (resilient_) return map_resilient<R>(config, &dies, nullptr, envs, cell);
-        std::vector<R> results(dies.size() * envs.size());
-        run_cells(config, dies, envs,
-                  [&](DutSession& dut, std::size_t die, std::size_t env) {
-                      results[die * envs.size() + env] = cell(dut, die, env);
-                  });
-        return results;
+        return map_grid<R>(config, memoized_dies(config, dies), envs, cell);
     }
 
     /// As map_die_env, but with explicitly supplied per-die calibrations
@@ -278,38 +254,12 @@ class Exec {
         const core::RfAbmChipConfig& config, const std::vector<DieCalibration>& cals,
         const std::vector<core::OperatingConditions>& envs,
         const std::function<R(DutSession&, std::size_t die, std::size_t env)>& cell) {
-        if (resilient_) return map_resilient<R>(config, nullptr, &cals, envs, cell);
-        std::vector<R> results(cals.size() * envs.size());
-        run_cells_calibrated(config, cals, envs,
-                             [&](DutSession& dut, std::size_t die, std::size_t env) {
-                                 results[die * envs.size() + env] = cell(dut, die, env);
-                             });
-        return results;
+        return map_grid<R>(config, given_dies(cals), envs, cell);
     }
-
-    /// Type-erased campaign core behind map_die_env (usable directly when
-    /// the cell writes its own sinks).
-    void run_cells(const core::RfAbmChipConfig& config,
-                   const std::vector<circuit::ProcessCorner>& dies,
-                   const std::vector<core::OperatingConditions>& envs,
-                   const std::function<void(DutSession&, std::size_t, std::size_t)>& cell);
-    void run_cells_calibrated(
-        const core::RfAbmChipConfig& config, const std::vector<DieCalibration>& cals,
-        const std::vector<core::OperatingConditions>& envs,
-        const std::function<void(DutSession&, std::size_t, std::size_t)>& cell);
-
-    /// Last campaign's drained graph result (tasks ran/skipped/cancelled).
-    const rfabm::exec::TaskGraphResult& last_result() const { return last_result_; }
 
     /// Last resilient campaign's triage report (empty when not resilient).
     const rfabm::exec::TriageReport& last_triage() const { return last_triage_; }
     bool resilient() const { return resilient_; }
-
-    /// Test/fault hook forwarded to ResilienceOptions::on_journal_open (the
-    /// kCrashPoint fault installs its append hook through this).
-    void set_journal_open_hook(std::function<void(rfabm::exec::JournalWriter&)> hook) {
-        journal_open_hook_ = std::move(hook);
-    }
 
     /// One-line engine summary (workers, tasks, steals, cache, Newton).
     void print_summary() const;
@@ -319,83 +269,47 @@ class Exec {
     void print_triage() const;
 
   private:
-    void run_chains(const std::vector<rfabm::exec::DieChain>& chains);
+    /// The die axis of a grid: where each die's tunes come from and what of
+    /// them enters the campaign identity.
+    struct GridDies {
+        std::size_t count = 0;
+        /// Die d's calibration; the token lets a cache waiter stop waiting.
+        std::function<DieCalibration(std::size_t d, const rfabm::exec::CancellationToken&)>
+            calibration;
+        /// Memoized dies warm the cache in a per-die node before the fan-out,
+        /// so corner measurements of one die never recalibrate concurrently.
+        bool warm_first = false;
+        /// Mixes the dies into the campaign identity.
+        std::function<void(rfabm::exec::FieldHasher&)> identity;
+    };
+    GridDies memoized_dies(const core::RfAbmChipConfig& config,
+                           const std::vector<circuit::ProcessCorner>& dies);
+    static GridDies given_dies(const std::vector<DieCalibration>& cals);
 
-    /// Resilient campaign core behind map_die_env: builds ResilientChains
-    /// whose compute closures wire the per-attempt token and heartbeat into
-    /// the DUT's solver, runs them, and stores the triage report.
-    void run_resilient_chains(const std::vector<rfabm::exec::ResilientChain>& chains,
-                              std::uint64_t campaign_id);
+    /// A grid cell's result as a journal payload, and the route by which a
+    /// payload (fresh or replayed) reaches the cell's private result slot.
+    using GridCell = std::function<std::vector<double>(DutSession&, std::size_t, std::size_t)>;
+    using GridSink = std::function<void(const std::vector<double>&, std::size_t, std::size_t)>;
 
-    /// Identity of a campaign: everything that affects its results.  A
-    /// journal written under a different identity is never replayed.
-    std::uint64_t campaign_identity(const core::RfAbmChipConfig& config,
-                                    const std::vector<circuit::ProcessCorner>* dies,
-                                    const std::vector<DieCalibration>* cals,
-                                    std::size_t num_envs) const;
+    /// The one grid path behind both map_die_env overloads: the plain task
+    /// graph, or the resilient campaign when the options request it.
+    void run_grid(const core::RfAbmChipConfig& config, const GridDies& dies,
+                  const std::vector<core::OperatingConditions>& envs, const GridCell& cell,
+                  const GridSink& sink);
 
     template <class R>
-    std::vector<R> map_resilient(
-        const core::RfAbmChipConfig& config, const std::vector<circuit::ProcessCorner>* dies,
-        const std::vector<DieCalibration>* cals,
-        const std::vector<core::OperatingConditions>& envs,
-        const std::function<R(DutSession&, std::size_t die, std::size_t env)>& cell) {
-        const std::size_t num_dies = dies != nullptr ? dies->size() : cals->size();
-        std::vector<R> results(num_dies * envs.size());
-        std::vector<rfabm::exec::ResilientChain> chains;
-        chains.reserve(num_dies);
-        for (std::size_t d = 0; d < num_dies; ++d) {
-            // Sharded run: this process only measures its own dies.  Cells of
-            // other shards stay default-initialized in `results`; a caller
-            // wanting the full grid merges the shard journals instead
-            // (exec::merge_shard_journals, docs/sharding.md).
-            if (opts_.shard_count > 1 &&
-                rfabm::exec::shard_of_die(static_cast<std::uint32_t>(d),
-                                          static_cast<std::uint32_t>(opts_.shard_count)) !=
-                    static_cast<std::uint32_t>(opts_.shard_index)) {
-                continue;
-            }
-            rfabm::exec::ResilientChain chain;
-            if (dies != nullptr) {
-                chain.calibrate = [this, &config, dies, d](rfabm::exec::TaskContext& ctx) {
-                    (void)calibrate(config, (*dies)[d], ctx.token);
-                };
-            }
-            for (std::size_t e = 0; e < envs.size(); ++e) {
-                rfabm::exec::ResilientCell rc;
-                rc.key = {static_cast<std::uint32_t>(d), static_cast<std::uint32_t>(e), 0};
-                rc.compute = [this, &config, dies, cals, &envs, &cell, d,
-                              e](const rfabm::exec::CellAttempt& att) {
-                    const DieCalibration cal = dies != nullptr
-                                                   ? calibrate(config, (*dies)[d], att.token)
-                                                   : (*cals)[d];
-                    core::MeasureOptions mopts;
-                    mopts.cancel = att.token;
-                    mopts.surrogate = surrogate_binding(config, cal.corner, envs[e]);
-                    DutSession dut(config, cal, envs[e], mopts);
-                    // Wire the watchdog into the solver: the token aborts a
-                    // hung solve, the heartbeat proves per-step progress.
-                    dut.chip.engine().options().cancel = att.token;
-                    dut.chip.engine().options().heartbeat = att.heartbeat;
-                    metrics_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
-                    R r = cell(dut, d, e);
-                    metrics_.add_newton(dut.chip.engine().newton_iterations());
-                    rfabm::exec::CellComputeResult out;
-                    out.payload = JournalCodec<R>::encode(r);
-                    return out;
-                };
-                rc.deliver = [&results, &envs, d, e](const std::vector<double>& payload,
-                                                     rfabm::exec::CellOutcome, bool) {
-                    // Fresh and replayed payloads take the identical path
-                    // into the cell's private slot: byte-identity by
-                    // construction.
-                    results[d * envs.size() + e] = JournalCodec<R>::decode(payload);
-                };
-                chain.cells.push_back(std::move(rc));
-            }
-            chains.push_back(std::move(chain));
-        }
-        run_resilient_chains(chains, campaign_identity(config, dies, cals, envs.size()));
+    std::vector<R> map_grid(const core::RfAbmChipConfig& config, const GridDies& dies,
+                            const std::vector<core::OperatingConditions>& envs,
+                            const std::function<R(DutSession&, std::size_t, std::size_t)>& cell) {
+        std::vector<R> results(dies.count * envs.size());
+        run_grid(
+            config, dies, envs,
+            [&cell](DutSession& dut, std::size_t d, std::size_t e) {
+                return JournalCodec<R>::encode(cell(dut, d, e));
+            },
+            [&results, &envs](const std::vector<double>& payload, std::size_t d, std::size_t e) {
+                results[d * envs.size() + e] = JournalCodec<R>::decode(payload);
+            });
         return results;
     }
 
@@ -405,13 +319,10 @@ class Exec {
     std::unique_ptr<rfabm::rf::surrogate::SurrogateStore> surrogate_;
     bool surrogate_serve_ = false;  ///< store held a completed generation at load
     rfabm::rf::surrogate::StoreCounters surrogate_folded_{};  ///< already in metrics_
-    rfabm::exec::CancellationSource cancel_;
     std::unique_ptr<rfabm::exec::ThreadPool> pool_;  ///< null when jobs == 1
     rfabm::exec::CalibrationCache cache_;
     rfabm::exec::CampaignMetrics metrics_;
-    rfabm::exec::TaskGraphResult last_result_;
     rfabm::exec::TriageReport last_triage_;
-    std::function<void(rfabm::exec::JournalWriter&)> journal_open_hook_;
     std::size_t campaign_seq_ = 0;  ///< numbers journal files within one run
 };
 

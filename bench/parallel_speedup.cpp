@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -103,10 +102,7 @@ void write_json(const char* path, const Phase& serial, const Phase& parallel, bo
 
 int main(int argc, char** argv) {
     const bench::HarnessOptions opts = bench::parse_options(argc, argv);
-    const char* out_path = "BENCH_parallel.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[i + 1];
-    }
+    const char* out_path = opts.out_path.empty() ? "BENCH_parallel.json" : opts.out_path.c_str();
     bench::banner("parallel_speedup: campaign wall-clock, serial vs engine",
                   "execution-engine benchmark (not a paper artifact)", opts);
 

@@ -16,7 +16,6 @@
 // Usage: resilience_overhead [--fast] [--jobs N] [--dies N] [--out FILE]
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -70,10 +69,7 @@ bool bit_identical(const Phase& a, const Phase& b) {
 
 int main(int argc, char** argv) {
     const bench::HarnessOptions base = bench::parse_options(argc, argv);
-    const char* out_path = "BENCH_resilience.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[i + 1];
-    }
+    const char* out_path = base.out_path.empty() ? "BENCH_resilience.json" : base.out_path.c_str();
     bench::banner("resilience_overhead: journaled vs bare campaign wall-clock",
                   "resilience-layer benchmark (not a paper artifact)", base);
 

@@ -30,7 +30,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -128,10 +127,7 @@ void cleanup(const std::string& stem, std::size_t shards) {
 int main(int argc, char** argv) {
     using namespace rfabm;
     const bench::HarnessOptions base = bench::parse_options(argc, argv);
-    const char* out_path = "BENCH_shard.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[i + 1];
-    }
+    const char* out_path = base.out_path.empty() ? "BENCH_shard.json" : base.out_path.c_str();
     bench::banner("shard_resilience: supervised multi-process campaign vs single process",
                   "sharding-layer benchmark (not a paper artifact)", base);
 
@@ -157,7 +153,7 @@ int main(int argc, char** argv) {
     std::printf("[3/4] crashed (worker 1 SIGKILLed after 2 records, restarted)...\n");
     const Phase crashed = run_phase(
         "BENCH_shard_crash",
-        {"--shards", std::to_string(shards), "--crash-in-shard", "1:2"}, dies, envs, jobs,
+        {"--shards", std::to_string(shards), "--chaos", "kill:1@2"}, dies, envs, jobs,
         cell_ms);
     std::printf("      %.2f s   rc %d\n", crashed.seconds, crashed.exit_code);
 

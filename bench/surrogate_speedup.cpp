@@ -22,7 +22,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -96,10 +95,7 @@ bool bit_identical(const Phase& a, const Phase& b) {
 
 int main(int argc, char** argv) {
     bench::HarnessOptions opts = bench::parse_options(argc, argv);
-    const char* out_path = "BENCH_surrogate.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[i + 1];
-    }
+    const char* out_path = opts.out_path.empty() ? "BENCH_surrogate.json" : opts.out_path.c_str();
     bench::banner("surrogate_speedup: two-tier serving, cold vs warm",
                   "serving-architecture benchmark (not a paper artifact)", opts);
 

@@ -85,23 +85,12 @@ TaskGraphResult run_on_pool(ThreadPool& pool, const std::vector<DieChain>& dies,
 
 }  // namespace
 
-TaskGraphResult run_campaign(const std::vector<DieChain>& dies, const CampaignOptions& options) {
+TaskGraphResult run_campaign(const std::vector<DieChain>& dies, const CampaignOptions& options,
+                             ThreadPool* pool) {
+    if (pool != nullptr) return run_on_pool(*pool, dies, options);
     if (options.jobs == 1) return run_serial(dies, options);
-    ThreadPool pool({options.jobs, 4096});
-    return run_on_pool(pool, dies, options);
-}
-
-TaskGraphResult run_campaign(ThreadPool& pool, const std::vector<DieChain>& dies,
-                             CancellationToken token, CampaignMetrics* metrics) {
-    CampaignOptions options;
-    options.token = std::move(token);
-    options.metrics = metrics;
-    return run_on_pool(pool, dies, options);
-}
-
-TaskGraphResult run_campaign(ThreadPool& pool, const std::vector<DieChain>& dies,
-                             const CampaignOptions& options) {
-    return run_on_pool(pool, dies, options);
+    ThreadPool own({options.jobs, 4096});
+    return run_on_pool(own, dies, options);
 }
 
 }  // namespace rfabm::exec

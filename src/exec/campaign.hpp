@@ -48,16 +48,10 @@ struct CampaignOptions {
 
 /// Run every chain.  Returns the drained graph result (ran + skipped +
 /// failed == total node count, cancellation included).  The first task
-/// failure aborts the remainder; its exception is rethrown.
-TaskGraphResult run_campaign(const std::vector<DieChain>& dies, const CampaignOptions& options);
-
-/// As above but on a caller-owned pool (jobs taken from the pool).
-TaskGraphResult run_campaign(ThreadPool& pool, const std::vector<DieChain>& dies,
-                             CancellationToken token = {}, CampaignMetrics* metrics = nullptr);
-
-/// Caller-owned pool with full options (options.jobs is ignored — the pool
-/// decides parallelism).
-TaskGraphResult run_campaign(ThreadPool& pool, const std::vector<DieChain>& dies,
-                             const CampaignOptions& options);
+/// failure aborts the remainder; its exception is rethrown.  With @p pool
+/// given, the chains run on that caller-owned pool and options.jobs is
+/// ignored (the pool decides parallelism).
+TaskGraphResult run_campaign(const std::vector<DieChain>& dies, const CampaignOptions& options,
+                             ThreadPool* pool = nullptr);
 
 }  // namespace rfabm::exec

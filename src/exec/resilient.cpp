@@ -253,11 +253,7 @@ ResilientResult run_resilient_campaign(const std::vector<ResilientChain>& chains
     }
     if (degrade_source) copts.token = degrade_source->token();
     ResilientResult result;
-    if (pool != nullptr) {
-        result.graph = run_campaign(*pool, dies, copts);
-    } else {
-        result.graph = run_campaign(dies, copts);
-    }
+    result.graph = run_campaign(dies, copts, pool);
 
     // 5. Assemble the report.
     state->writer.close();

@@ -25,6 +25,10 @@ std::string shard_journal_path(const std::string& stem, std::uint32_t index) {
     return stem + ".shard" + std::to_string(index) + ".wal";
 }
 
+std::string shard_surrogate_path(const std::string& store, std::uint32_t index) {
+    return store + ".shard" + std::to_string(index);
+}
+
 std::string rebalance_journal_path(const std::string& stem, std::uint32_t index) {
     return stem + ".rebal" + std::to_string(index) + ".wal";
 }

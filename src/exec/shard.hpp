@@ -50,6 +50,10 @@ inline bool in_shard(const CellKey& key, const ShardSpec& shard) {
 /// Conventional journal path of one shard: "<stem>.shard<index>.wal".
 std::string shard_journal_path(const std::string& stem, std::uint32_t index);
 
+/// Conventional surrogate-store path of one shard: "<store>.shard<index>".
+/// The coordinator folds these into <store> itself after the fleet drains.
+std::string shard_surrogate_path(const std::string& store, std::uint32_t index);
+
 /// Conventional journal path of one rebalance (recovery) worker:
 /// "<stem>.rebal<index>.wal".  Indices are global and monotonic across
 /// rebalance rounds so a coordinator crash mid-rebalance never reuses a

@@ -2,7 +2,26 @@
 
 #include <sstream>
 
+#include "rf/surrogate/store.hpp"
+
 namespace rfabm::exec {
+
+SurrogateStats surrogate_stats(const rf::surrogate::SurrogateStore& store) {
+    const rf::surrogate::StoreCounters c = store.counters();
+    SurrogateStats s;
+    s.enabled = true;
+    s.hits = c.hits;
+    s.misses = c.misses;
+    s.out_of_envelope = c.out_of_envelope;
+    s.bound_too_loose = c.bound_too_loose;
+    s.observed = c.observed;
+    s.refits = c.refits;
+    s.load_rejected = c.load_rejected;
+    s.save_failed = c.save_failed;
+    s.surfaces = store.surfaces();
+    s.worst_error_bound = store.worst_error_bound();
+    return s;
+}
 
 const char* to_string(CellOutcome outcome) {
     switch (outcome) {

@@ -21,6 +21,10 @@
 
 #include "exec/journal.hpp"
 
+namespace rfabm::rf::surrogate {
+class SurrogateStore;
+}
+
 namespace rfabm::exec {
 
 /// Terminal disposition of one campaign cell.  The numeric values are
@@ -151,6 +155,10 @@ struct SurrogateStats {
         return hits + misses + out_of_envelope + bound_too_loose;
     }
 };
+
+/// The triage section of a campaign bound to @p store: its counters so far,
+/// its surface count and worst published bound.
+SurrogateStats surrogate_stats(const rf::surrogate::SurrogateStore& store);
 
 /// Structured end-of-campaign summary: per-outcome counts, the quarantine
 /// roster, watchdog and journal health, per-shard supervision history.

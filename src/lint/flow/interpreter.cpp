@@ -199,13 +199,17 @@ class Interpreter {
         }
 
         bool closed_driver = false;
+        bool opened_driver = false;
         for (std::size_t b = 0; b < kSelectBits; ++b) {
             if (op.bits[b] == Tri::kUnknown && die->select_step[b] != kNoStep) {
                 continue;  // unspecified payload bit keeps the latched value
             }
+            const bool driver = b == kOutPlusToAb1 || b == kOutMinusToAb2 || b == kFdetToAb1;
             if (op.bits[b] == Tri::kOne && die->select[b] != Tri::kOne) {
-                closed_driver = closed_driver || b == kOutPlusToAb1 ||
-                                b == kOutMinusToAb2 || b == kFdetToAb1;
+                closed_driver = closed_driver || driver;
+            }
+            if (op.bits[b] == Tri::kZero && die->select[b] != Tri::kZero) {
+                opened_driver = opened_driver || driver;
             }
             if (op.bits[b] != die->select[b] || die->select_step[b] == kNoStep) {
                 die->select_step[b] = index;
@@ -213,7 +217,9 @@ class Interpreter {
             die->select[b] = op.bits[b];
         }
         die->last_select_update = index;
-        die->select_observed = false;
+        // A word that opens bus drivers and closes none is a release: the bus
+        // sees it (break-before-make), so overwriting it is not a dead store.
+        die->select_observed = opened_driver && !closed_driver;
 
         if (closed_driver) check_contention(op, index);
     }

@@ -24,7 +24,9 @@
 //                              instruction selects another register (the
 //                              latches keep their values)
 //   flow-dead-update           a select update overwritten before any step
-//                              observes it (dead store / dead program step)
+//                              observes it (dead store / dead program step);
+//                              a bus release (opens drivers, closes none) is
+//                              observed by the bus itself
 //
 // Every diagnostic carries a witness trace: the minimal op sequence that
 // establishes the bad state, reconstructed from the per-latch provenance the

@@ -68,7 +68,10 @@ TEST(Campaign, CancelMidRunDrainsWithoutLeakingTasks) {
             }});
         }
     }
-    const TaskGraphResult r = run_campaign(pool, dies, source.token(), &metrics);
+    CampaignOptions opts;
+    opts.token = source.token();
+    opts.metrics = &metrics;
+    const TaskGraphResult r = run_campaign(dies, opts, &pool);
     EXPECT_TRUE(r.cancelled);
     EXPECT_EQ(r.accounted(), 6u * 4u);
     EXPECT_EQ(r.ran, static_cast<std::size_t>(ran.load()));

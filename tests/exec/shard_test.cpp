@@ -76,6 +76,8 @@ TEST_F(ShardTest, PartitionCoversEveryDieExactlyOnce) {
 TEST_F(ShardTest, ShardJournalPathConvention) {
     EXPECT_EQ(shard_journal_path("camp.wal", 0), "camp.wal.shard0.wal");
     EXPECT_EQ(shard_journal_path("camp.wal", 12), "camp.wal.shard12.wal");
+    EXPECT_EQ(shard_surrogate_path("camp.sur", 0), "camp.sur.shard0");
+    EXPECT_EQ(shard_surrogate_path("camp.sur", 12), "camp.sur.shard12");
     EXPECT_TRUE(ShardSpec({0, 1}).valid());
     EXPECT_TRUE(ShardSpec({2, 3}).valid());
     EXPECT_FALSE(ShardSpec({3, 3}).valid());

@@ -10,6 +10,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -135,7 +136,7 @@ TEST_P(ShardResumeTest, SigkilledWorkerIsRestartedAndConverges) {
     // supervisor must restart it with resume and the merge must still fold
     // to the reference bytes.
     const int rc = run_campaignd(grid_args(stem_, GetParam().shards, GetParam().jobs) +
-                                 " --crash-in-shard 1:2");
+                                 " --chaos kill:1@2");
     ASSERT_TRUE(exited_with(rc, 0)) << "status=" << rc;
     expect_identical(ref, "worker-crash");
 }
@@ -145,7 +146,7 @@ TEST_P(ShardResumeTest, HungWorkerIsKilledByWatchdogAndConverges) {
     // Shard 1's worker goes silent mid-campaign; the auto-tuned heartbeat
     // watchdog must SIGKILL and restart it.
     const int rc = run_campaignd(grid_args(stem_, GetParam().shards, GetParam().jobs) +
-                                 " --hang-in-shard 1");
+                                 " --chaos hang:1");
     ASSERT_TRUE(exited_with(rc, 0)) << "status=" << rc;
     expect_identical(ref, "worker-hang");
 }
@@ -156,7 +157,7 @@ TEST_P(ShardResumeTest, SigkilledCoordinatorResumesAtEveryCrashPoint) {
         clean(stem_);
         const int crashed =
             run_campaignd(grid_args(stem_, GetParam().shards, GetParam().jobs) +
-                          " --coord-crash " + point);
+                          " --chaos coord:" + point);
         ASSERT_TRUE(died_by_sigkill(crashed))
             << "expected coordinator SIGKILL at " << point << ", status=" << crashed;
 
@@ -175,7 +176,7 @@ TEST_P(ShardResumeTest, CoordinatorCrashThenWorkerCrashStillConverges) {
     // shard journals and must only merge.
     ASSERT_TRUE(died_by_sigkill(
         run_campaignd(grid_args(stem_, GetParam().shards, GetParam().jobs) +
-                      " --crash-in-shard 0:1 --coord-crash post-workers")));
+                      " --chaos kill:0@1,coord:post-workers")));
     const int rc = run_campaignd(grid_args(stem_, GetParam().shards, GetParam().jobs) +
                                  " --resume");
     ASSERT_TRUE(exited_with(rc, 0)) << "status=" << rc;
@@ -256,7 +257,7 @@ TEST_P(ShardResumeTest, TriageJsonRecordsPerShardAttemptHistory) {
     // full supervision history — the crash, the backoff, and the resumed
     // relaunch that completed.
     const int rc = run_campaignd(grid_args(stem_, GetParam().shards, GetParam().jobs) +
-                                 " --crash-in-shard 1:2 --triage " + triage);
+                                 " --chaos kill:1@2 --triage " + triage);
     ASSERT_TRUE(exited_with(rc, 0)) << "status=" << rc;
     const std::string json = slurp(triage);
     ASSERT_FALSE(json.empty());
@@ -347,7 +348,7 @@ TEST_P(ShardResumeTest, MidPublishCoordinatorSigkillResumesCleanly) {
     // coordinator must converge on identical bytes (the temp is rewritten,
     // never trusted).
     const int crashed = run_campaignd(grid_args(stem_, GetParam().shards, GetParam().jobs) +
-                                      " --coord-crash mid-publish");
+                                      " --chaos coord:mid-publish");
     ASSERT_TRUE(died_by_sigkill(crashed)) << "status=" << crashed;
     EXPECT_TRUE(file_exists(stem_ + ".wal.tmp"))
         << "the crash must land inside the temp+rename window";
@@ -355,6 +356,27 @@ TEST_P(ShardResumeTest, MidPublishCoordinatorSigkillResumesCleanly) {
         grid_args(stem_, GetParam().shards, GetParam().jobs) + " --resume");
     ASSERT_TRUE(exited_with(resumed, 0)) << "status=" << resumed;
     expect_identical(ref, "mid-publish");
+}
+
+TEST(CampaigndInline, DegradedJournalCountsOnceInMetrics) {
+    // --shards 1 runs the campaign inside the coordinator.  Its one journal
+    // writer degrades at record 2, and the coordinator's metrics line must
+    // count that writer exactly once.
+    const std::string stem = ::testing::TempDir() + "rfabm_inline_degraded";
+    const std::string log_path = stem + ".stderr";
+    const std::string cmd = std::string(CAMPAIGND_BIN) + " --journal " + stem + " --out " +
+                            stem + ".out --dies 6 --envs 4 --shards 1" +
+                            " --chaos disk-full:0@2 > /dev/null 2> " + log_path;
+    const int rc = std::system(cmd.c_str());
+    EXPECT_TRUE(exited_with(rc, 1)) << "the in-memory cells are lost, status=" << rc;
+    const std::string log = slurp(log_path);
+    const char* key = "journal_degraded=";
+    const std::size_t at = log.find(key);
+    ASSERT_NE(at, std::string::npos) << log;
+    EXPECT_EQ(std::strtoul(log.c_str() + at + std::strlen(key), nullptr, 10), 1u) << log;
+    for (const char* suffix : {".out", ".wal", ".wal.tmp", ".stderr"}) {
+        std::remove((stem + suffix).c_str());
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Topologies, ShardResumeTest,

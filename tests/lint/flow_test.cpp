@@ -316,6 +316,24 @@ TEST(FlowInterpreter, DeadSelectUpdateWarnsAtTheOverwrittenStep) {
     EXPECT_FALSE(fires(relaxed, "flow-dead-update"));
 }
 
+TEST(FlowInterpreter, SingleDieBusReleaseIsNotDead) {
+    // Break-before-make on one die: the all-open word between the frequency
+    // and the power read opens the Fdet driver and closes none.  The bus sees
+    // that release even though the next word overwrites it unobserved.
+    CampaignProgram program;
+    program.reset()
+        .ir_scan(jtag::Instruction::kProbe)
+        .select(0, "01000100")
+        .calibrate(0)
+        .measure(0, Detector::kFrequency)
+        .select(0, "00000000")  // release
+        .select(0, "01000011")
+        .measure(0, Detector::kPower);
+    Report report;
+    flow_lint(program, report);
+    EXPECT_FALSE(fires(report, "flow-dead-update")) << report.to_text();
+}
+
 TEST(FlowInterpreter, TrailingSelectUpdateIsNotDead) {
     // The next campaign segment may consume a trailing select word; only an
     // overwrite inside the program proves the store dead.

@@ -47,18 +47,6 @@
 //                                          with or without this flag
 //                   [--poison D:E]         cell always fails -> quarantine
 //                   [--optional-env E]     cells with env E are optional
-//                   [--crash-in-shard S:N] SIGKILL shard S's worker at its
-//                                          Nth journal append (first launch
-//                                          only, so the restart self-heals)
-//                   [--hang-in-shard S]    shard S's worker stalls silently
-//                                          (first launch only)
-//                   [--coord-crash P]      SIGKILL the coordinator at P in
-//                                          {pre-dispatch,post-workers,
-//                                           pre-rebalance,post-rebalance,
-//                                           mid-publish,post-merge}
-//                                          (mid-publish fires inside the merge
-//                                          temp+rename window: the merged temp
-//                                          is durable but not yet renamed)
 //                   [--chaos SCHEDULE]     comma-separated compound fault
 //                                          schedule, applied by coordinator
 //                                          and workers alike:
@@ -87,11 +75,14 @@
 //                                            store-full:S   shard S's
 //                                                           surrogate store
 //                                                           save hits ENOSPC
-//                                            coord:P        coordinator crash
-//                                                           point P (as
-//                                                           --coord-crash)
-//                   [--no-rebalance]       surface unfinished dies as degraded
-//                                          output instead of re-running them
+//                                            coord:P        SIGKILL the
+//                                                           coordinator at P
+//                                          P: pre-dispatch, post-workers,
+//                                          pre-rebalance, post-rebalance,
+//                                          mid-publish (inside the merge
+//                                          temp+rename window: the merged temp
+//                                          is durable but not yet renamed),
+//                                          post-merge
 //                   [--breaker-window N] [--breaker-min N]
 //                                          supervisor failure-breaker knobs
 //                   [--max-restarts R] [--watchdog-ms M] [--max-attempts A]
@@ -147,22 +138,22 @@ constexpr std::uint32_t kMaxRebalanceJournals = 64;
 /// One parsed --chaos event.
 struct ChaosEvent {
     enum class Kind {
-        kKill,          ///< kill:S@R[:xN] — SIGKILL shard S at journal record R
-        kHang,          ///< hang:S — shard S stalls silently (first launch)
-        kDiskFull,      ///< disk-full:S@R — ENOSPC from record R on
-        kDiskEio,       ///< disk-eio:S@R
-        kDiskShort,     ///< disk-short:S@R — torn record then failure
-        kCorruptTail,   ///< corrupt-tail:S — stomp journal tail on first restart
-        kRebalKill,     ///< rkill:K@R — SIGKILL rebalance worker K at record R
-        kRebalDiskFull, ///< rdisk-full:K@R
-        kStoreFull,     ///< store-full:S — surrogate save hits ENOSPC
-        kCoord,         ///< coord:P — coordinator crash point P
+        kKill,         ///< kill:S@R[:xN], rkill:K@R[:xN] — SIGKILL at journal record R
+        kHang,         ///< hang:S — shard S stalls silently (first launch)
+        kDisk,         ///< disk-full|disk-eio|disk-short:S@R, rdisk-full:K@R
+        kCorruptTail,  ///< corrupt-tail:S — stomp journal tail on first restart
+        kStoreFull,    ///< store-full:S — surrogate save hits ENOSPC
+        kCoord,        ///< coord:P — coordinator crash point P
     };
     Kind kind = Kind::kKill;
+    /// rkill / rdisk-full: the target is a global rebalance journal index,
+    /// not a primary shard.
+    bool rebalance = false;
     std::int64_t target = -1;
     std::uint64_t record = 0;
-    int launches = 1;          ///< kKill: apply while attempt < launches
-    std::string coord_point;   ///< kCoord only
+    int launches = 1;  ///< kKill: apply while attempt < launches
+    faults::JournalDiskFault::Mode disk = faults::JournalDiskFault::Mode::kEnospc;
+    std::string coord_point;  ///< kCoord only
 };
 
 struct Args {
@@ -183,13 +174,8 @@ struct Args {
     bool resume = false;
     std::int64_t poison_die = -1, poison_env = -1;
     std::int64_t optional_env = -1;
-    std::int64_t crash_shard = -1;
-    std::uint64_t crash_after = 0;
-    std::int64_t hang_shard = -1;
-    std::string coord_crash;
     std::string chaos;  ///< raw schedule, forwarded verbatim to workers
     std::vector<ChaosEvent> chaos_events;
-    bool no_rebalance = false;
     int breaker_window = 0;  ///< 0: supervisor default
     int breaker_min = 0;     ///< 0: supervisor default
     // Worker mode.
@@ -243,27 +229,22 @@ bool parse_chaos(const std::string& schedule, std::vector<ChaosEvent>* events) {
         const std::string rest = item.substr(colon + 1);
         ChaosEvent ev;
         using K = ChaosEvent::Kind;
-        if (op == "kill") {
+        using Mode = faults::JournalDiskFault::Mode;
+        ev.rebalance = op == "rkill" || op == "rdisk-full";
+        if (op == "kill" || op == "rkill") {
             ev.kind = K::kKill;
             if (!parse_at(rest, &ev.target, &ev.record, &ev.launches)) return false;
-        } else if (op == "hang") {
-            ev.kind = K::kHang;
-            ev.target = std::strtoll(rest.c_str(), nullptr, 10);
-        } else if (op == "disk-full" || op == "disk-eio" || op == "disk-short") {
-            ev.kind = op == "disk-full" ? K::kDiskFull
-                                        : (op == "disk-eio" ? K::kDiskEio : K::kDiskShort);
+        } else if (op == "disk-full" || op == "rdisk-full" || op == "disk-eio" ||
+                   op == "disk-short") {
+            ev.kind = K::kDisk;
+            ev.disk = op == "disk-eio"     ? Mode::kEio
+                      : op == "disk-short" ? Mode::kShortWrite
+                                           : Mode::kEnospc;
             if (!parse_at(rest, &ev.target, &ev.record, nullptr)) return false;
-        } else if (op == "corrupt-tail") {
-            ev.kind = K::kCorruptTail;
-            ev.target = std::strtoll(rest.c_str(), nullptr, 10);
-        } else if (op == "rkill") {
-            ev.kind = K::kRebalKill;
-            if (!parse_at(rest, &ev.target, &ev.record, &ev.launches)) return false;
-        } else if (op == "rdisk-full") {
-            ev.kind = K::kRebalDiskFull;
-            if (!parse_at(rest, &ev.target, &ev.record, nullptr)) return false;
-        } else if (op == "store-full") {
-            ev.kind = K::kStoreFull;
+        } else if (op == "hang" || op == "corrupt-tail" || op == "store-full") {
+            ev.kind = op == "hang"           ? K::kHang
+                      : op == "corrupt-tail" ? K::kCorruptTail
+                                             : K::kStoreFull;
             ev.target = std::strtoll(rest.c_str(), nullptr, 10);
         } else if (op == "coord") {
             ev.kind = K::kCoord;
@@ -310,13 +291,7 @@ bool parse_args(int argc, char** argv, Args* args) {
             args->poison_env = static_cast<std::int64_t>(env);
         } else if (std::strcmp(a, "--optional-env") == 0 && (v = next()))
             args->optional_env = std::atoll(v);
-        else if (std::strcmp(a, "--crash-in-shard") == 0 && (v = next())) {
-            if (!parse_pair(v, &args->crash_shard, &args->crash_after)) return false;
-        } else if (std::strcmp(a, "--hang-in-shard") == 0 && (v = next()))
-            args->hang_shard = std::atoll(v);
-        else if (std::strcmp(a, "--coord-crash") == 0 && (v = next())) args->coord_crash = v;
         else if (std::strcmp(a, "--chaos") == 0 && (v = next())) args->chaos = v;
-        else if (std::strcmp(a, "--no-rebalance") == 0) args->no_rebalance = true;
         else if (std::strcmp(a, "--breaker-window") == 0 && (v = next()))
             args->breaker_window = std::atoi(v);
         else if (std::strcmp(a, "--breaker-min") == 0 && (v = next()))
@@ -372,11 +347,6 @@ rf::surrogate::StoreOptions shadow_store_options() {
     return sopts;
 }
 
-/// Per-shard store path; the coordinator's merge target is --surrogate itself.
-std::string shard_surrogate_path(const Args& args, std::uint32_t shard) {
-    return args.surrogate + ".shard" + std::to_string(shard);
-}
-
 /// Serve-and-verify one computed cell against the shadow store, then feed the
 /// computed truth back in.  Serving happens only when @p serve — i.e. the
 /// store holds a COMPLETED generation (loaded from a save, which always
@@ -409,267 +379,41 @@ std::uint64_t shadow_check_and_observe(rf::surrogate::SurrogateStore& store, boo
     return violations;
 }
 
-/// Build this process's slice of the campaign: the whole grid for the inline
+/// The part of the campaign one process runs: the whole grid for the inline
 /// --shards 1 path, one shard's dies in worker mode, or — for a rebalance
-/// worker — an explicit die list restricted to cells the durable journals
-/// are still missing.
-std::vector<exec::ResilientChain> build_chains(
-    const Args& args, const exec::ShardSpec& shard, bool hang_here,
-    const std::vector<std::uint32_t>* only_dies,
-    const std::unordered_set<exec::CellKey, exec::CellKeyHash>* only_cells,
-    exec::HeartbeatEmitter* heartbeat, std::atomic<std::uint64_t>* computed,
-    rf::surrogate::SurrogateStore* shadow, bool shadow_serve,
-    std::atomic<std::uint64_t>* parity_failures) {
-    std::vector<exec::ResilientChain> chains;
-    for (std::uint32_t d = 0; d < args.dies; ++d) {
-        if (only_dies != nullptr) {
-            if (std::find(only_dies->begin(), only_dies->end(), d) == only_dies->end()) {
-                continue;
-            }
-        } else if (exec::shard_of_die(d, shard.count) != shard.index) {
-            continue;
-        }
-        exec::ResilientChain chain;
-        for (std::uint32_t e = 0; e < args.envs; ++e) {
-            const bool optional =
-                args.optional_env >= 0 && e == static_cast<std::uint32_t>(args.optional_env);
-            if (optional && args.shed_optional) continue;  // breaker escalation
-            exec::ResilientCell cell;
-            cell.key = {d, e, 0};
-            if (only_cells != nullptr && only_cells->find(cell.key) == only_cells->end()) {
-                continue;  // already durable somewhere; never recompute
-            }
-            cell.optional = optional;
-            const bool poisoned = static_cast<std::int64_t>(d) == args.poison_die &&
-                                  static_cast<std::int64_t>(e) == args.poison_env;
-            cell.compute = [d, e, poisoned, hang_here, &args, heartbeat, computed, shadow,
-                            shadow_serve, parity_failures](const exec::CellAttempt& attempt) {
-                if (args.cell_ms > 0) {
-                    std::this_thread::sleep_for(std::chrono::milliseconds(args.cell_ms));
-                }
-                if (poisoned) throw std::runtime_error("poisoned cell");
-                // A hang: the worker goes silent AFTER journaling some cells
-                // (the supervisor must SIGKILL it and the restart resumes).
-                if (hang_here && computed != nullptr &&
-                    computed->load(std::memory_order_relaxed) >= 2) {
-                    for (;;) {
-                        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-                        if (attempt.token.stop_requested()) {
-                            throw std::runtime_error("hang interrupted");
-                        }
-                    }
-                }
-                exec::CellComputeResult result;
-                result.payload = synth_payload(d, e);
-                // Shadow serving: the journaled payload is ALWAYS the full
-                // compute; a hit is only cross-checked against it so a
-                // dishonest bound is caught, never propagated.
-                if (shadow != nullptr && parity_failures != nullptr) {
-                    const std::uint64_t bad =
-                        shadow_check_and_observe(*shadow, shadow_serve, d, e, result.payload);
-                    if (bad > 0) parity_failures->fetch_add(bad, std::memory_order_relaxed);
-                }
-                return result;
-            };
-            cell.deliver = [heartbeat, computed](const std::vector<double>&, exec::CellOutcome,
-                                                 bool replayed) {
-                if (computed != nullptr && !replayed) {
-                    computed->fetch_add(1, std::memory_order_relaxed);
-                }
-                if (heartbeat != nullptr) heartbeat->beat();
-            };
-            chain.cells.push_back(std::move(cell));
-        }
-        chains.push_back(std::move(chain));
-    }
-    return chains;
-}
+/// worker — the re-homed dies limited to the cells the durable journals are
+/// still missing.
+struct Slice {
+    std::vector<exec::CellKey> cells;  ///< die-major
+    std::string journal;
+    bool resume = false;
+    std::vector<ChaosEvent> chaos;  ///< the --chaos events aimed at this slice
 
-/// First --chaos event of @p kind aimed at @p target, or nullptr.
-const ChaosEvent* find_chaos(const Args& args, ChaosEvent::Kind kind, std::int64_t target) {
+    bool has(ChaosEvent::Kind kind) const {
+        return std::any_of(chaos.begin(), chaos.end(),
+                           [kind](const ChaosEvent& ev) { return ev.kind == kind; });
+    }
+};
+
+/// The --chaos events aimed at primary shard @p target or, when
+/// @p rebalance, at rebalance journal index @p target.
+std::vector<ChaosEvent> chaos_aimed_at(const Args& args, bool rebalance, std::int64_t target) {
+    std::vector<ChaosEvent> aimed;
     for (const ChaosEvent& ev : args.chaos_events) {
-        if (ev.kind == kind && ev.target == target) return &ev;
+        if (ev.rebalance == rebalance && ev.target == target) aimed.push_back(ev);
     }
-    return nullptr;
+    return aimed;
 }
 
-/// Stomp the last 8 bytes of @p path with 0xFF — bit rot on the journal tail.
-/// The resume replay must reject the corrupted record's checksum, truncate,
-/// and recompute only that cell.  No-op on files too small to hold a record.
-void corrupt_journal_tail(const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    if (f == nullptr) return;
-    std::fseek(f, 0, SEEK_END);
-    if (std::ftell(f) > 28 && std::fseek(f, -8, SEEK_END) == 0) {
-        const unsigned char junk[8] = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
-        std::fwrite(junk, 1, sizeof junk, f);
+/// Every cell of the dies in shard @p index of @p count.
+Slice shard_slice(const Args& args, std::uint32_t index, std::uint32_t count,
+                  std::string journal, bool resume) {
+    Slice slice{{}, std::move(journal), resume, chaos_aimed_at(args, false, index)};
+    for (std::uint32_t d = 0; d < args.dies; ++d) {
+        if (exec::shard_of_die(d, count) != index) continue;
+        for (std::uint32_t e = 0; e < args.envs; ++e) slice.cells.push_back({d, e, 0});
     }
-    std::fclose(f);
-}
-
-/// Run one shard's campaign slice in this process.  Shared by the worker
-/// mode and the --shards 1 inline path.
-int run_shard_inline(const Args& args, const exec::ShardSpec& shard,
-                     const std::string& journal, bool resume,
-                     exec::TriageReport* triage_out = nullptr,
-                     exec::CampaignMetrics* metrics = nullptr) {
-    exec::HeartbeatEmitter heartbeat(args.heartbeat_fd);
-    heartbeat.beat();
-    std::atomic<std::uint64_t> computed{0};
-    // Chaos: a restarting worker may find its journal tail rotted (torn
-    // sector, bit flip).  Stomp it on the FIRST restart only — replay must
-    // truncate the bad record and the resumed run recomputes just that cell.
-    if (resume && args.attempt == 1 &&
-        find_chaos(args, ChaosEvent::Kind::kCorruptTail,
-                   static_cast<std::int64_t>(shard.index)) != nullptr) {
-        corrupt_journal_tail(journal);
-    }
-    // Shadow surrogate tier: load the previous generation (kill-and-resume
-    // runs keep sharpening one store), cross-check hits while the campaign
-    // runs, persist the refreshed store after it drains.
-    std::unique_ptr<rf::surrogate::SurrogateStore> shadow;
-    std::atomic<std::uint64_t> parity_failures{0};
-    std::string shadow_path;
-    bool shadow_serve = false;
-    if (!args.surrogate.empty()) {
-        shadow = std::make_unique<rf::surrogate::SurrogateStore>(shadow_store_options());
-        shadow_path =
-            shard.count == 1 ? args.surrogate : shard_surrogate_path(args, shard.index);
-        (void)shadow->load(shadow_path);  // rejected/missing: starts empty, refits
-        // Serve (and parity-check) only from a completed generation: a saved
-        // store was refit over its full population, so every grid query is an
-        // in-sample point whose residual the published bound covers.
-        shadow_serve = shadow->surfaces() > 0;
-        // Chaos: this shard's surrogate persistence hits ENOSPC.  Save fails,
-        // the previous store generation survives, the campaign (and its
-        // journaled bytes) must be unaffected.
-        if (find_chaos(args, ChaosEvent::Kind::kStoreFull,
-                       static_cast<std::int64_t>(shard.index)) != nullptr) {
-            shadow->set_disk_fault_hook([](const char* op) {
-                return std::strcmp(op, "write") == 0 ? ENOSPC : 0;
-            });
-        }
-    }
-    const bool hang_here =
-        (args.hang_shard == static_cast<std::int64_t>(shard.index) && !args.worker_resume) ||
-        (args.attempt == 0 &&
-         find_chaos(args, ChaosEvent::Kind::kHang,
-                    static_cast<std::int64_t>(shard.index)) != nullptr);
-    std::vector<exec::ResilientChain> chains =
-        build_chains(args, shard, hang_here, /*only_dies=*/nullptr, /*only_cells=*/nullptr,
-                     &heartbeat, &computed, shadow.get(), shadow_serve, &parity_failures);
-
-    exec::CampaignOptions copts;
-    copts.jobs = args.jobs;
-    copts.metrics = metrics;
-    exec::ResilienceOptions ropts;
-    ropts.journal_path = journal;
-    ropts.resume = resume;
-    ropts.campaign_id = campaign_identity(args);
-    ropts.checkpoint_every = 1;  // every record durable: crashes stay deterministic
-    ropts.max_cell_attempts = args.max_attempts;
-    if (args.watchdog_ms > 0) {
-        ropts.cell_timeout = std::chrono::milliseconds(args.watchdog_ms);
-    }
-    // A worker's results reach the coordinator only through its journal, so
-    // once the journal degrades the remaining compute is wasted — exit early
-    // (code 6) and let the coordinator rebalance from the durable prefix.
-    // The inline single-process path keeps running and finishes in memory.
-    ropts.abort_on_journal_degraded = args.worker;
-    std::vector<std::unique_ptr<faults::FaultInjector>> injected;
-    ropts.on_journal_open = [&](exec::JournalWriter& writer) {
-        if (args.crash_after > 0 &&
-            args.crash_shard == static_cast<std::int64_t>(shard.index) && !resume) {
-            injected.push_back(
-                std::make_unique<faults::CrashPointFault>(writer, args.crash_after));
-        }
-        for (const ChaosEvent& ev : args.chaos_events) {
-            if (ev.target != static_cast<std::int64_t>(shard.index)) continue;
-            using K = ChaosEvent::Kind;
-            switch (ev.kind) {
-                case K::kKill:
-                    if (args.attempt < ev.launches) {
-                        injected.push_back(
-                            std::make_unique<faults::CrashPointFault>(writer, ev.record));
-                    }
-                    break;
-                case K::kDiskFull:
-                    injected.push_back(std::make_unique<faults::JournalDiskFault>(
-                        writer, ev.record, faults::JournalDiskFault::Mode::kEnospc));
-                    break;
-                case K::kDiskEio:
-                    injected.push_back(std::make_unique<faults::JournalDiskFault>(
-                        writer, ev.record, faults::JournalDiskFault::Mode::kEio));
-                    break;
-                case K::kDiskShort:
-                    injected.push_back(std::make_unique<faults::JournalDiskFault>(
-                        writer, ev.record, faults::JournalDiskFault::Mode::kShortWrite));
-                    break;
-                default:
-                    break;
-            }
-        }
-        for (auto& fault : injected) fault->arm();
-    };
-    const exec::ResilientResult result = exec::run_resilient_campaign(chains, copts, ropts);
-    for (auto& fault : injected) fault->disarm();
-    if (triage_out != nullptr) *triage_out = result.triage;
-    // Degraded worker: report through the reserved exit code.  Nothing else
-    // this process could persist matters — the supervisor gives the shard up
-    // at once and the coordinator rebalances its cells.
-    if (args.worker && result.triage.journal.degraded) {
-        std::fprintf(stderr,
-                     "[campaignd] shard %u journal degraded (%" PRIu64 " write failure(s), %"
-                     PRIu64 " record(s) in memory only); requesting rebalance\n",
-                     shard.index, result.triage.journal.write_failures,
-                     result.triage.journal.records_dropped);
-        return kExitJournalDegraded;
-    }
-
-    if (shadow) {
-        // Close the generation: refit every surface over the full retained
-        // population (merge_from with no inputs is exactly that), so the
-        // saved store serves the next run from complete surfaces.
-        shadow->merge_from({});
-        if (!shadow->save(shadow_path)) {
-            // Non-fatal by design: the surrogate tier is an accelerator, the
-            // journal is the source of truth.  The previous store generation
-            // (if any) keeps serving; triage records the refusal.
-            std::fprintf(stderr,
-                         "rfabm_campaignd: cannot persist surrogate store %s "
-                         "(previous generation kept)\n",
-                         shadow_path.c_str());
-        }
-        if (triage_out != nullptr) {
-            const rf::surrogate::StoreCounters c = shadow->counters();
-            triage_out->surrogate.enabled = true;
-            triage_out->surrogate.hits = c.hits;
-            triage_out->surrogate.misses = c.misses;
-            triage_out->surrogate.out_of_envelope = c.out_of_envelope;
-            triage_out->surrogate.bound_too_loose = c.bound_too_loose;
-            triage_out->surrogate.observed = c.observed;
-            triage_out->surrogate.refits = c.refits;
-            triage_out->surrogate.load_rejected = c.load_rejected;
-            triage_out->surrogate.save_failed = c.save_failed;
-            triage_out->surrogate.surfaces = shadow->surfaces();
-            triage_out->surrogate.worst_error_bound = shadow->worst_error_bound();
-        }
-        if (parity_failures.load(std::memory_order_relaxed) > 0) {
-            std::fprintf(stderr,
-                         "rfabm_campaignd: %" PRIu64 " surrogate parity violation(s)\n",
-                         parity_failures.load(std::memory_order_relaxed));
-            return 4;
-        }
-    }
-
-    std::size_t cells_total = 0;
-    for (const auto& chain : chains) cells_total += chain.cells.size();
-    const std::uint64_t accounted = result.triage.count(exec::CellOutcome::kOk) +
-                                    result.triage.count(exec::CellOutcome::kReplayed) +
-                                    result.triage.count(exec::CellOutcome::kQuarantined) +
-                                    result.triage.count(exec::CellOutcome::kDegraded) +
-                                    result.triage.count(exec::CellOutcome::kShed);
-    return accounted == cells_total ? 0 : 1;
+    return slice;
 }
 
 std::vector<std::uint32_t> parse_die_csv(const std::string& csv) {
@@ -712,80 +456,238 @@ std::vector<std::string> durable_journals(const Args& args, std::int64_t skip_re
     return inputs;
 }
 
-/// Recovery worker: recompute whatever the durable journals are still
-/// missing from an explicit die list, journaling into "<stem>.rebal<K>.wal".
-/// Both the die list and the missing-cell set re-derive from on-disk state,
-/// so a SIGKILLed-and-relaunched recovery worker converges on identical
-/// records.  Exits 6 (like a primary) if its own journal degrades.
-int run_rebalance_worker(const Args& args) {
-    const exec::ShardSpec shard{args.shard_index, args.shards};
+/// Recovery worker: whatever the durable journals are still missing from
+/// the re-homed die list, journaling into "<stem>.rebal<K>.wal".  Both the
+/// die list and the missing-cell set re-derive from on-disk state, so a
+/// SIGKILLed-and-relaunched recovery worker converges on identical records.
+/// False when the worker was launched without dies or journal index.
+bool rebalance_slice(const Args& args, Slice* slice) {
     const std::vector<std::uint32_t> dies = parse_die_csv(args.rebalance_dies);
-    if (dies.empty() || args.rebal_index < 0) return 2;
-    const std::vector<exec::CellKey> missing =
-        exec::missing_cells(durable_journals(args, args.rebal_index), campaign_identity(args),
-                            args.dies, args.envs);
+    if (dies.empty() || args.rebal_index < 0) return false;
     const std::unordered_set<std::uint32_t> die_set(dies.begin(), dies.end());
-    std::unordered_set<exec::CellKey, exec::CellKeyHash> only_cells;
-    for (const exec::CellKey& key : missing) {
-        if (die_set.count(key.die) != 0) only_cells.insert(key);
+    *slice = Slice{{},
+                   exec::rebalance_journal_path(args.journal_stem,
+                                                static_cast<std::uint32_t>(args.rebal_index)),
+                   args.worker_resume,
+                   chaos_aimed_at(args, true, args.rebal_index)};
+    for (const exec::CellKey& key :
+         exec::missing_cells(durable_journals(args, args.rebal_index), campaign_identity(args),
+                             args.dies, args.envs)) {
+        if (die_set.count(key.die) != 0) slice->cells.push_back(key);
     }
+    return true;
+}
 
+/// The slice's cells as one resilient chain: the synthetic cells need no
+/// calibration, so die boundaries do not matter to the scheduler.  Optional
+/// cells are dropped when the breaker escalated this launch to shedding.
+std::vector<exec::ResilientChain> build_chains(
+    const Args& args, const Slice& slice, bool hang_here, exec::HeartbeatEmitter& heartbeat,
+    std::atomic<std::uint64_t>& computed, rf::surrogate::SurrogateStore* shadow,
+    bool shadow_serve, std::atomic<std::uint64_t>& parity_failures) {
+    exec::ResilientChain chain;
+    for (const exec::CellKey& key : slice.cells) {
+        const std::uint32_t d = key.die;
+        const std::uint32_t e = key.env;
+        const bool optional =
+            args.optional_env >= 0 && e == static_cast<std::uint32_t>(args.optional_env);
+        if (optional && args.shed_optional) continue;  // breaker escalation
+        exec::ResilientCell cell;
+        cell.key = key;
+        cell.optional = optional;
+        const bool poisoned = static_cast<std::int64_t>(d) == args.poison_die &&
+                              static_cast<std::int64_t>(e) == args.poison_env;
+        cell.compute = [d, e, poisoned, hang_here, &args, &computed, shadow, shadow_serve,
+                        &parity_failures](const exec::CellAttempt& attempt) {
+            if (args.cell_ms > 0) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(args.cell_ms));
+            }
+            if (poisoned) throw std::runtime_error("poisoned cell");
+            // A hang: the worker goes silent AFTER journaling some cells
+            // (the supervisor must SIGKILL it and the restart resumes).
+            if (hang_here && computed.load(std::memory_order_relaxed) >= 2) {
+                for (;;) {
+                    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                    if (attempt.token.stop_requested()) {
+                        throw std::runtime_error("hang interrupted");
+                    }
+                }
+            }
+            exec::CellComputeResult result;
+            result.payload = synth_payload(d, e);
+            // Shadow serving: the journaled payload is ALWAYS the full
+            // compute; a hit is only cross-checked against it so a
+            // dishonest bound is caught, never propagated.
+            if (shadow != nullptr) {
+                const std::uint64_t bad =
+                    shadow_check_and_observe(*shadow, shadow_serve, d, e, result.payload);
+                if (bad > 0) parity_failures.fetch_add(bad, std::memory_order_relaxed);
+            }
+            return result;
+        };
+        cell.deliver = [&heartbeat, &computed](const std::vector<double>&, exec::CellOutcome,
+                                               bool replayed) {
+            if (!replayed) computed.fetch_add(1, std::memory_order_relaxed);
+            heartbeat.beat();
+        };
+        chain.cells.push_back(std::move(cell));
+    }
+    return {std::move(chain)};
+}
+
+/// Stomp the last 8 bytes of @p path with 0xFF — bit rot on the journal tail.
+/// The resume replay must reject the corrupted record's checksum, truncate,
+/// and recompute only that cell.  No-op on files too small to hold a record.
+void corrupt_journal_tail(const std::string& path) {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    if (f == nullptr) return;
+    std::fseek(f, 0, SEEK_END);
+    if (std::ftell(f) > 28 && std::fseek(f, -8, SEEK_END) == 0) {
+        const unsigned char junk[8] = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
+        std::fwrite(junk, 1, sizeof junk, f);
+    }
+    std::fclose(f);
+}
+
+/// Run one campaign slice in this process: the inline --shards 1 path, a
+/// primary shard worker or a recovery worker.  The shadow surrogate tier and
+/// optional-cell shedding follow the flags this process was launched with;
+/// recovery workers get neither, because they exist to close the cell set,
+/// including optional cells a tripped breaker shed.
+int run_slice(const Args& args, const Slice& slice, exec::TriageReport* triage_out = nullptr,
+              exec::CampaignMetrics* metrics = nullptr) {
+    using K = ChaosEvent::Kind;
     exec::HeartbeatEmitter heartbeat(args.heartbeat_fd);
     heartbeat.beat();
     std::atomic<std::uint64_t> computed{0};
-    // No shadow surrogate and no optional shedding here: recovery exists to
-    // close the cell set, including optional cells a tripped breaker shed.
-    std::vector<exec::ResilientChain> chains =
-        build_chains(args, shard, /*hang_here=*/false, &dies, &only_cells, &heartbeat,
-                     &computed, /*shadow=*/nullptr, /*shadow_serve=*/false,
-                     /*parity_failures=*/nullptr);
+    // Chaos: a restarting worker may find its journal tail rotted (torn
+    // sector, bit flip).  Stomp it on the FIRST restart only — replay must
+    // truncate the bad record and the resumed run recomputes just that cell.
+    if (slice.resume && args.attempt == 1 && slice.has(K::kCorruptTail)) {
+        corrupt_journal_tail(slice.journal);
+    }
+    // Shadow surrogate tier: load the previous generation (kill-and-resume
+    // runs keep sharpening one store), cross-check hits while the campaign
+    // runs, persist the refreshed store after it drains.
+    std::unique_ptr<rf::surrogate::SurrogateStore> shadow;
+    std::atomic<std::uint64_t> parity_failures{0};
+    std::string shadow_path;
+    bool shadow_serve = false;
+    if (!args.surrogate.empty()) {
+        shadow = std::make_unique<rf::surrogate::SurrogateStore>(shadow_store_options());
+        shadow_path = args.shards == 1
+                          ? args.surrogate
+                          : exec::shard_surrogate_path(args.surrogate, args.shard_index);
+        (void)shadow->load(shadow_path);  // rejected/missing: starts empty, refits
+        // Serve (and parity-check) only from a completed generation: a saved
+        // store was refit over its full population, so every grid query is an
+        // in-sample point whose residual the published bound covers.
+        shadow_serve = shadow->surfaces() > 0;
+        // Chaos: this shard's surrogate persistence hits ENOSPC.  Save fails,
+        // the previous store generation survives, the campaign (and its
+        // journaled bytes) must be unaffected.
+        if (slice.has(K::kStoreFull)) {
+            shadow->set_disk_fault_hook([](const char* op) {
+                return std::strcmp(op, "write") == 0 ? ENOSPC : 0;
+            });
+        }
+    }
+    const bool hang_here = args.attempt == 0 && slice.has(K::kHang);
+    const std::vector<exec::ResilientChain> chains =
+        build_chains(args, slice, hang_here, heartbeat, computed, shadow.get(), shadow_serve,
+                     parity_failures);
 
     exec::CampaignOptions copts;
     copts.jobs = args.jobs;
+    copts.metrics = metrics;
     exec::ResilienceOptions ropts;
-    ropts.journal_path = exec::rebalance_journal_path(
-        args.journal_stem, static_cast<std::uint32_t>(args.rebal_index));
-    ropts.resume = args.worker_resume;
+    ropts.journal_path = slice.journal;
+    ropts.resume = slice.resume;
     ropts.campaign_id = campaign_identity(args);
-    ropts.checkpoint_every = 1;
+    ropts.checkpoint_every = 1;  // every record durable: crashes stay deterministic
     ropts.max_cell_attempts = args.max_attempts;
     if (args.watchdog_ms > 0) {
         ropts.cell_timeout = std::chrono::milliseconds(args.watchdog_ms);
     }
-    ropts.abort_on_journal_degraded = true;
+    // A worker's results reach the coordinator only through its journal, so
+    // once the journal degrades the remaining compute is wasted — exit early
+    // (code 6) and let the coordinator rebalance from the durable prefix.
+    // The inline single-process path keeps running and finishes in memory.
+    ropts.abort_on_journal_degraded = args.worker;
     std::vector<std::unique_ptr<faults::FaultInjector>> injected;
     ropts.on_journal_open = [&](exec::JournalWriter& writer) {
-        for (const ChaosEvent& ev : args.chaos_events) {
-            if (ev.target != args.rebal_index) continue;
-            if (ev.kind == ChaosEvent::Kind::kRebalKill && args.attempt < ev.launches) {
+        for (const ChaosEvent& ev : slice.chaos) {
+            if (ev.kind == K::kKill && args.attempt < ev.launches) {
+                injected.push_back(std::make_unique<faults::CrashPointFault>(writer, ev.record));
+            } else if (ev.kind == K::kDisk) {
                 injected.push_back(
-                    std::make_unique<faults::CrashPointFault>(writer, ev.record));
-            } else if (ev.kind == ChaosEvent::Kind::kRebalDiskFull) {
-                injected.push_back(
-                    std::make_unique<faults::JournalDiskFault>(writer, ev.record));
+                    std::make_unique<faults::JournalDiskFault>(writer, ev.record, ev.disk));
             }
         }
         for (auto& fault : injected) fault->arm();
     };
+    // The injected hooks live on the run's journal writer, which dies when
+    // the run returns: there is nothing left to disarm afterwards.
     const exec::ResilientResult result = exec::run_resilient_campaign(chains, copts, ropts);
-    for (auto& fault : injected) fault->disarm();
-    if (result.triage.journal.degraded) return kExitJournalDegraded;
-    std::size_t cells_total = 0;
-    for (const auto& chain : chains) cells_total += chain.cells.size();
+    if (triage_out != nullptr) *triage_out = result.triage;
+    // Degraded worker: report through the reserved exit code.  Nothing else
+    // this process could persist matters — the supervisor gives the shard up
+    // at once and the coordinator rebalances its cells.
+    if (args.worker && result.triage.journal.degraded) {
+        std::fprintf(stderr,
+                     "[campaignd] journal %s degraded (%" PRIu64 " write failure(s), %" PRIu64
+                     " record(s) in memory only); requesting rebalance\n",
+                     slice.journal.c_str(), result.triage.journal.write_failures,
+                     result.triage.journal.records_dropped);
+        return kExitJournalDegraded;
+    }
+
+    if (shadow) {
+        // Close the generation: refit every surface over the full retained
+        // population (merge_from with no inputs is exactly that), so the
+        // saved store serves the next run from complete surfaces.
+        shadow->merge_from({});
+        if (!shadow->save(shadow_path)) {
+            // Non-fatal by design: the surrogate tier is an accelerator, the
+            // journal is the source of truth.  The previous store generation
+            // (if any) keeps serving; triage records the refusal.
+            std::fprintf(stderr,
+                         "rfabm_campaignd: cannot persist surrogate store %s "
+                         "(previous generation kept)\n",
+                         shadow_path.c_str());
+        }
+        if (triage_out != nullptr) triage_out->surrogate = exec::surrogate_stats(*shadow);
+        if (parity_failures.load(std::memory_order_relaxed) > 0) {
+            std::fprintf(stderr,
+                         "rfabm_campaignd: %" PRIu64 " surrogate parity violation(s)\n",
+                         parity_failures.load(std::memory_order_relaxed));
+            return 4;
+        }
+    }
+
     const std::uint64_t accounted = result.triage.count(exec::CellOutcome::kOk) +
                                     result.triage.count(exec::CellOutcome::kReplayed) +
                                     result.triage.count(exec::CellOutcome::kQuarantined) +
                                     result.triage.count(exec::CellOutcome::kDegraded) +
                                     result.triage.count(exec::CellOutcome::kShed);
-    return accounted == cells_total ? 0 : 1;
+    return accounted == result.triage.cells_total ? 0 : 1;
 }
 
-pid_t spawn_worker(const Args& args, const exec::ShardSupervisor::Launch& launch,
-                   const char* self) {
-    const pid_t pid = ::fork();
-    if (pid != 0) return pid;
-    // Child: re-exec ourselves in worker mode.  The heartbeat fd is
-    // inherited (no CLOEXEC on the pipe's write end).
+/// A recovery worker's assignment: its re-homed dies and its global
+/// rebalance journal index.
+struct Rehome {
+    std::string dies_csv;
+    std::uint32_t index = 0;
+};
+
+/// Fork/exec this binary as the worker for @p launch: primary shard
+/// launch.shard or, with @p rehome, a recovery worker.  The heartbeat fd is
+/// inherited (no CLOEXEC on the pipe's write end).  The surrogate tier and
+/// optional-cell shedding are forwarded to primary shards only (see
+/// run_slice).
+pid_t spawn_worker(const Args& args, const char* self,
+                   const exec::ShardSupervisor::Launch& launch,
+                   const Rehome* rehome = nullptr) {
     std::vector<std::string> argstrs = {
         self, "--worker",
         "--journal", args.journal_stem,
@@ -799,102 +701,39 @@ pid_t spawn_worker(const Args& args, const exec::ShardSupervisor::Launch& launch
         "--heartbeat-fd", std::to_string(launch.heartbeat_fd),
         "--attempt", std::to_string(launch.attempt),
     };
-    if (!args.chaos.empty()) {
-        argstrs.push_back("--chaos");
-        argstrs.push_back(args.chaos);
+    const auto add = [&argstrs](const char* flag, std::string value) {
+        argstrs.push_back(flag);
+        argstrs.push_back(std::move(value));
+    };
+    if (rehome != nullptr) {
+        add("--rebalance-dies", rehome->dies_csv);
+        add("--rebal-index", std::to_string(rehome->index));
+    } else {
+        if (launch.shed_optional) argstrs.push_back("--shed-optional");
+        if (!args.surrogate.empty()) add("--surrogate", args.surrogate);
     }
     if (launch.resume) argstrs.push_back("--worker-resume");
-    if (launch.shed_optional) argstrs.push_back("--shed-optional");
-    if (!args.program.empty()) {
-        argstrs.push_back("--program");
-        argstrs.push_back(args.program);
-    }
-    if (!args.surrogate.empty()) {
-        argstrs.push_back("--surrogate");
-        argstrs.push_back(args.surrogate);
-    }
+    if (!args.chaos.empty()) add("--chaos", args.chaos);
+    if (!args.program.empty()) add("--program", args.program);
     if (args.poison_die >= 0) {
-        argstrs.push_back("--poison");
-        argstrs.push_back(std::to_string(args.poison_die) + ":" +
-                          std::to_string(args.poison_env));
+        add("--poison", std::to_string(args.poison_die) + ":" + std::to_string(args.poison_env));
     }
-    if (args.optional_env >= 0) {
-        argstrs.push_back("--optional-env");
-        argstrs.push_back(std::to_string(args.optional_env));
-    }
-    if (args.crash_shard >= 0) {
-        argstrs.push_back("--crash-in-shard");
-        argstrs.push_back(std::to_string(args.crash_shard) + ":" +
-                          std::to_string(args.crash_after));
-    }
-    if (args.hang_shard >= 0) {
-        argstrs.push_back("--hang-in-shard");
-        argstrs.push_back(std::to_string(args.hang_shard));
-    }
+    if (args.optional_env >= 0) add("--optional-env", std::to_string(args.optional_env));
     std::vector<char*> argv;
     argv.reserve(argstrs.size() + 1);
     for (std::string& s : argstrs) argv.push_back(s.data());
     argv.push_back(nullptr);
+    const pid_t pid = ::fork();
+    if (pid != 0) return pid;
     ::execv(self, argv.data());
     std::_Exit(127);  // exec failed; never run the coordinator's atexit state
 }
 
-/// Fork/exec one recovery worker for @p launch, re-homed onto @p dies_csv
-/// and journaling under global rebalance index @p global_index.  Always
-/// resumes (the planner derives its work from durable journals, and a
-/// restarted recovery worker must replay its own).
-pid_t spawn_rebalance_worker(const Args& args, const exec::ShardSupervisor::Launch& launch,
-                             const char* self, const std::string& dies_csv,
-                             std::uint32_t global_index) {
-    const pid_t pid = ::fork();
-    if (pid != 0) return pid;
-    std::vector<std::string> argstrs = {
-        self, "--worker",
-        "--journal", args.journal_stem,
-        "--shards", std::to_string(args.shards),
-        "--shard", "0",
-        "--jobs", std::to_string(args.jobs),
-        "--dies", std::to_string(args.dies),
-        "--envs", std::to_string(args.envs),
-        "--cell-ms", std::to_string(args.cell_ms),
-        "--max-attempts", std::to_string(args.max_attempts),
-        "--heartbeat-fd", std::to_string(launch.heartbeat_fd),
-        "--attempt", std::to_string(launch.attempt),
-        "--rebalance-dies", dies_csv,
-        "--rebal-index", std::to_string(global_index),
-        "--worker-resume",
-    };
-    if (!args.chaos.empty()) {
-        argstrs.push_back("--chaos");
-        argstrs.push_back(args.chaos);
-    }
-    if (!args.program.empty()) {
-        argstrs.push_back("--program");
-        argstrs.push_back(args.program);
-    }
-    if (args.poison_die >= 0) {
-        argstrs.push_back("--poison");
-        argstrs.push_back(std::to_string(args.poison_die) + ":" +
-                          std::to_string(args.poison_env));
-    }
-    if (args.optional_env >= 0) {
-        argstrs.push_back("--optional-env");
-        argstrs.push_back(std::to_string(args.optional_env));
-    }
-    std::vector<char*> argv;
-    argv.reserve(argstrs.size() + 1);
-    for (std::string& s : argstrs) argv.push_back(s.data());
-    argv.push_back(nullptr);
-    ::execv(self, argv.data());
-    std::_Exit(127);
-}
-
 bool coord_point_requested(const Args& args, const char* point) {
-    if (args.coord_crash == point) return true;
-    for (const ChaosEvent& ev : args.chaos_events) {
-        if (ev.kind == ChaosEvent::Kind::kCoord && ev.coord_point == point) return true;
-    }
-    return false;
+    return std::any_of(args.chaos_events.begin(), args.chaos_events.end(),
+                       [point](const ChaosEvent& ev) {
+                           return ev.kind == ChaosEvent::Kind::kCoord && ev.coord_point == point;
+                       });
 }
 
 void coord_crash_point(const Args& args, const char* point) {
@@ -972,13 +811,11 @@ int run_coordinator(const Args& args, const char* self) {
         // Inline: no worker processes.  The journal is still compacted at
         // the end — folding attempt records and rewriting in canonical
         // order — so its bytes match a merged multi-shard run.
-        const int rc = run_shard_inline(args, {0, 1}, campaign_journal_path(args),
-                                        args.resume, &triage, &metrics);
+        const int rc =
+            run_slice(args, shard_slice(args, 0, 1, campaign_journal_path(args), args.resume),
+                      &triage, &metrics);
         if (rc > 1) return rc;
         degraded = rc != 0;
-        if (triage.journal.degraded) {
-            metrics.journal_degraded.fetch_add(1, std::memory_order_relaxed);
-        }
         coord_crash_point(args, "post-workers");
         if (!exec::compact_journal(campaign_journal_path(args), campaign_identity(args))) {
             std::fprintf(stderr, "rfabm_campaignd: journal compaction failed\n");
@@ -1020,7 +857,7 @@ int run_coordinator(const Args& args, const char* self) {
         exec::ShardSupervisor supervisor(sopts);
         const exec::ShardSupervisor::Result fleet = supervisor.supervise(
             args.shards, [&](const exec::ShardSupervisor::Launch& launch) {
-                return spawn_worker(args, launch, self);
+                return spawn_worker(args, self, launch);
             });
         triage.breaker_tripped = fleet.breaker_tripped;
         triage.shards = exec::shard_histories(fleet);
@@ -1047,85 +884,82 @@ int run_coordinator(const Args& args, const char* self) {
         }
         std::vector<exec::CellKey> missing = exec::missing_cells(
             durable_journals(args, -1), campaign_identity(args), args.dies, args.envs);
-        if (!args.no_rebalance) {
-            for (std::uint32_t round = 1;
-                 !missing.empty() && round <= kMaxRebalanceRounds; ++round) {
-                coord_crash_point(args, "pre-rebalance");
-                // Survivors take the re-homed dies; a fully lost fleet still
-                // gets one replacement worker.
-                std::uint32_t healthy = 0;
-                for (const auto& worker : fleet.workers) {
-                    if (worker.completed) ++healthy;
-                }
-                if (healthy == 0) healthy = 1;
-                const std::vector<exec::RebalanceAssignment> plan =
-                    exec::plan_rebalance(missing, healthy);
-                const std::uint32_t base = next_rebal;
-                if (base + plan.size() > kMaxRebalanceJournals) break;  // probe ceiling
-                std::string reason;
-                if (round > 1) {
-                    reason = "rebalance-retry";
-                } else {
-                    std::vector<std::string> reasons;
-                    for (const auto& worker : fleet.workers) {
-                        if (worker.journal_degraded) reasons.push_back("journal-degraded");
-                        else if (worker.gave_up) reasons.push_back("gave-up");
-                    }
-                    if (reasons.empty()) {
-                        reasons.push_back(fleet.breaker_tripped ? "shed" : "incomplete");
-                    }
-                    std::sort(reasons.begin(), reasons.end());
-                    reasons.erase(std::unique(reasons.begin(), reasons.end()),
-                                  reasons.end());
-                    for (const std::string& r : reasons) {
-                        if (!reason.empty()) reason += '+';
-                        reason += r;
-                    }
-                }
-                std::fprintf(stderr,
-                             "[campaignd] rebalance round %u (%s): %zu missing cell(s) over "
-                             "%zu recovery worker(s)\n",
-                             round, reason.c_str(), missing.size(), plan.size());
-                exec::ShardSupervisor::Options recovery_opts = sopts;
-                recovery_opts.resume_first = true;  // recovery journals may pre-exist
-                exec::ShardSupervisor recovery(recovery_opts);
-                const exec::ShardSupervisor::Result rfleet = recovery.supervise(
-                    static_cast<std::uint32_t>(plan.size()),
-                    [&](const exec::ShardSupervisor::Launch& launch) {
-                        return spawn_rebalance_worker(args, launch, self,
-                                                      join_die_csv(plan[launch.shard].dies),
-                                                      base + launch.shard);
-                    });
-                next_rebal += static_cast<std::uint32_t>(plan.size());
-                std::vector<exec::ShardHistory> histories = exec::shard_histories(rfleet);
-                for (exec::ShardHistory& history : histories) {
-                    history.shard += base;  // global recovery-journal numbering
-                    history.rebalance = true;
-                    for (exec::ShardAttempt& attempt : history.attempts) {
-                        attempt.rebalance = true;
-                    }
-                    if (history.journal_degraded) {
-                        metrics.journal_degraded.fetch_add(1, std::memory_order_relaxed);
-                    }
-                    triage.shards.push_back(std::move(history));
-                }
-                for (const exec::RebalanceAssignment& assignment : plan) {
-                    exec::RebalanceRecord record;
-                    record.round = round;
-                    record.worker = base + assignment.worker;
-                    record.reason = reason;
-                    record.dies = assignment.dies;
-                    record.cells = assignment.cells;
-                    record.completed = rfleet.workers[assignment.worker].completed;
-                    metrics.rebalanced_dies.fetch_add(record.dies.size(),
-                                                      std::memory_order_relaxed);
-                    metrics.rebalanced_cells.fetch_add(record.cells,
-                                                       std::memory_order_relaxed);
-                    triage.rebalances.push_back(std::move(record));
-                }
-                missing = exec::missing_cells(durable_journals(args, -1),
-                                              campaign_identity(args), args.dies, args.envs);
+        for (std::uint32_t round = 1; !missing.empty() && round <= kMaxRebalanceRounds; ++round) {
+            coord_crash_point(args, "pre-rebalance");
+            // Survivors take the re-homed dies; a fully lost fleet still
+            // gets one replacement worker.
+            std::uint32_t healthy = 0;
+            for (const auto& worker : fleet.workers) {
+                if (worker.completed) ++healthy;
             }
+            if (healthy == 0) healthy = 1;
+            const std::vector<exec::RebalanceAssignment> plan =
+                exec::plan_rebalance(missing, healthy);
+            const std::uint32_t base = next_rebal;
+            if (base + plan.size() > kMaxRebalanceJournals) break;  // probe ceiling
+            std::string reason;
+            if (round > 1) {
+                reason = "rebalance-retry";
+            } else {
+                std::vector<std::string> reasons;
+                for (const auto& worker : fleet.workers) {
+                    if (worker.journal_degraded) reasons.push_back("journal-degraded");
+                    else if (worker.gave_up) reasons.push_back("gave-up");
+                }
+                if (reasons.empty()) {
+                    reasons.push_back(fleet.breaker_tripped ? "shed" : "incomplete");
+                }
+                std::sort(reasons.begin(), reasons.end());
+                reasons.erase(std::unique(reasons.begin(), reasons.end()), reasons.end());
+                for (const std::string& r : reasons) {
+                    if (!reason.empty()) reason += '+';
+                    reason += r;
+                }
+            }
+            std::fprintf(stderr,
+                         "[campaignd] rebalance round %u (%s): %zu missing cell(s) over "
+                         "%zu recovery worker(s)\n",
+                         round, reason.c_str(), missing.size(), plan.size());
+            // Every recovery launch resumes: the planner derives its work
+            // from durable journals, its journal may pre-exist, and a
+            // restarted recovery worker must replay its own.
+            exec::ShardSupervisor::Options recovery_opts = sopts;
+            recovery_opts.resume_first = true;
+            exec::ShardSupervisor recovery(recovery_opts);
+            const exec::ShardSupervisor::Result rfleet = recovery.supervise(
+                static_cast<std::uint32_t>(plan.size()),
+                [&](const exec::ShardSupervisor::Launch& launch) {
+                    const Rehome rehome{join_die_csv(plan[launch.shard].dies),
+                                        base + launch.shard};
+                    return spawn_worker(args, self, launch, &rehome);
+                });
+            next_rebal += static_cast<std::uint32_t>(plan.size());
+            std::vector<exec::ShardHistory> histories = exec::shard_histories(rfleet);
+            for (exec::ShardHistory& history : histories) {
+                history.shard += base;  // global recovery-journal numbering
+                history.rebalance = true;
+                for (exec::ShardAttempt& attempt : history.attempts) {
+                    attempt.rebalance = true;
+                }
+                if (history.journal_degraded) {
+                    metrics.journal_degraded.fetch_add(1, std::memory_order_relaxed);
+                }
+                triage.shards.push_back(std::move(history));
+            }
+            for (const exec::RebalanceAssignment& assignment : plan) {
+                exec::RebalanceRecord record;
+                record.round = round;
+                record.worker = base + assignment.worker;
+                record.reason = reason;
+                record.dies = assignment.dies;
+                record.cells = assignment.cells;
+                record.completed = rfleet.workers[assignment.worker].completed;
+                metrics.rebalanced_dies.fetch_add(record.dies.size(), std::memory_order_relaxed);
+                metrics.rebalanced_cells.fetch_add(record.cells, std::memory_order_relaxed);
+                triage.rebalances.push_back(std::move(record));
+            }
+            missing = exec::missing_cells(durable_journals(args, -1), campaign_identity(args),
+                                          args.dies, args.envs);
         }
         coord_crash_point(args, "post-rebalance");
         // Degradation is judged against the durable record, not the fleet:
@@ -1153,7 +987,7 @@ int run_coordinator(const Args& args, const char* self) {
             rf::surrogate::SurrogateStore pooled(shadow_store_options());
             std::vector<std::string> stores;
             for (std::uint32_t s = 0; s < args.shards; ++s) {
-                stores.push_back(shard_surrogate_path(args, s));
+                stores.push_back(exec::shard_surrogate_path(args.surrogate, s));
             }
             const std::size_t folded = pooled.merge_from(stores);
             if (!pooled.save(args.surrogate)) {
@@ -1164,13 +998,8 @@ int run_coordinator(const Args& args, const char* self) {
                              "(previous generation kept)\n",
                              args.surrogate.c_str());
             }
-            const rf::surrogate::StoreCounters c = pooled.counters();
-            triage.surrogate.enabled = true;
-            triage.surrogate.refits = c.refits;
-            triage.surrogate.load_rejected = c.load_rejected;
-            triage.surrogate.save_failed = c.save_failed;
-            triage.surrogate.surfaces = pooled.surfaces();
-            triage.surrogate.worst_error_bound = pooled.worst_error_bound();
+            // The pooled store serves nothing: its serving counters stay 0.
+            triage.surrogate = exec::surrogate_stats(pooled);
             std::fprintf(stderr,
                          "[campaignd] merged %zu surrogate shard store(s): %zu surfaces, "
                          "worst bound %g\n",
@@ -1250,10 +1079,15 @@ int main(int argc, char** argv) {
             const int rc = admit_program(args, /*is_worker=*/true);
             if (rc != 0) return rc;
         }
-        if (!args.rebalance_dies.empty()) return run_rebalance_worker(args);
-        return run_shard_inline(args, shard,
-                                exec::shard_journal_path(args.journal_stem, shard.index),
-                                args.worker_resume);
+        if (args.rebalance_dies.empty()) {
+            return run_slice(args, shard_slice(args, shard.index, shard.count,
+                                               exec::shard_journal_path(args.journal_stem,
+                                                                        shard.index),
+                                               args.worker_resume));
+        }
+        Slice slice;
+        if (!rebalance_slice(args, &slice)) return 2;
+        return run_slice(args, slice);
     }
     return run_coordinator(args, argv[0]);
 }
