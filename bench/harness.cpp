@@ -57,6 +57,16 @@ std::vector<circuit::ProcessCorner> HarnessOptions::dies() const {
 }
 
 HarnessOptions parse_options(int argc, char** argv) {
+    const auto usage = [argv](const char* why, const char* what) {
+        std::fprintf(stderr,
+                     "%s: %s: %s\n"
+                     "usage: %s [--fast] [--seed N] [--dies N] [--jobs N] [--out FILE]\n"
+                     "       [--journal FILE] [--resume] [--watchdog-ms N] [--watchdog-auto]\n"
+                     "       [--triage FILE] [--max-attempts N] [--shards N]\n"
+                     "       [--shard-index I] [--surrogate FILE] [--surrogate-max-bound V]\n",
+                     argv[0], why, what, argv[0]);
+        std::exit(2);
+    };
     HarnessOptions opts;
     if (const char* env = std::getenv("RFABM_FAST"); env != nullptr && env[0] == '1') {
         opts.fast = true;
@@ -98,15 +108,14 @@ HarnessOptions parse_options(int argc, char** argv) {
             opts.out_path = argv[++i];
         } else {
             // A typo'd flag must not silently run the full-length default.
-            std::fprintf(stderr,
-                         "%s: unknown flag or missing value: %s\n"
-                         "usage: %s [--fast] [--seed N] [--dies N] [--jobs N] [--out FILE]\n"
-                         "       [--journal FILE] [--resume] [--watchdog-ms N] [--watchdog-auto]\n"
-                         "       [--triage FILE] [--max-attempts N] [--shards N]\n"
-                         "       [--shard-index I] [--surrogate FILE] [--surrogate-max-bound V]\n",
-                         argv[0], argv[i], argv[0]);
-            std::exit(2);
+            usage("unknown flag or missing value", argv[i]);
         }
+    }
+    // A shard outside the fleet owns no die: it would measure nothing and
+    // still report success.
+    if (opts.shard_index >= opts.shard_count) {
+        usage("--shard-index must be below --shards",
+              std::to_string(opts.shard_index).c_str());
     }
     return opts;
 }

@@ -41,9 +41,8 @@ inline std::vector<MonteCarloSample> presample_dies(std::size_t trials, std::uin
 /// Run @p trials measurements, one per sampled die.  The closure receives the
 /// corner and returns the measured quantity (e.g. power error in dB).
 /// Deterministic for a given seed/spread/trials.  The population is fully
-/// pre-sampled before the first measurement (see presample_dies); the
-/// parallel twin lives in exec/montecarlo.hpp and produces bit-identical
-/// results.
+/// pre-sampled before the first measurement (see presample_dies), so a
+/// parallel driver over the same population produces bit-identical results.
 inline std::vector<MonteCarloSample> run_monte_carlo(
     std::size_t trials, std::uint64_t seed, const ProcessSpread& spread,
     const std::function<double(const ProcessCorner&)>& measure) {

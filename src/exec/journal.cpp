@@ -282,9 +282,7 @@ void JournalWriter::degrade_locked() {
 }
 
 void JournalWriter::append_record(std::uint32_t type, const std::vector<unsigned char>& payload) {
-    std::function<void(std::uint64_t)> hook;
     std::function<void()> degrade_hook;
-    std::uint64_t appended = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (file_ == nullptr) {
@@ -346,13 +344,14 @@ void JournalWriter::append_record(std::uint32_t type, const std::vector<unsigned
             ++stats_.write_failures;
             degrade_locked();
             degrade_hook = degrade_hook_;
-        } else {
-            hook = hook_;
-            appended = stats_.records_written;
+        } else if (hook_) {
+            // Under the lock: no other thread can append between this
+            // record and whatever the hook does (a crash point's SIGKILL
+            // must land with exactly this many records on disk).
+            hook_(stats_.records_written);
         }
     }
     if (degrade_hook) degrade_hook();
-    if (hook) hook(appended);
 }
 
 void JournalWriter::append_cell(const CellRecord& record) {

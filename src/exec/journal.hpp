@@ -169,9 +169,11 @@ class JournalWriter {
 
     JournalStats stats() const;
 
-    /// Hook invoked (outside the writer lock) after each record is appended
-    /// and flushed, with the running append count.  The kCrashPoint fault
-    /// injector uses it to kill the process at a chosen journal position.
+    /// Hook invoked under the writer lock after each record is appended and
+    /// flushed, with the running append count, so no other thread appends
+    /// until it returns.  It must not call back into the writer.  The
+    /// kCrashPoint fault injector uses it to kill the process at a chosen
+    /// journal position.
     void set_append_hook(std::function<void(std::uint64_t)> hook);
 
     /// Install a disk-fault hook (kDiskFault injectors).  A failed write,

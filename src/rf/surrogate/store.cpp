@@ -1,6 +1,7 @@
 #include "rf/surrogate/store.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
@@ -338,9 +339,12 @@ bool SurrogateStore::load_image(
 bool SurrogateStore::load(const std::string& path) {
     std::unordered_map<SurrogateKey, Entry, SurrogateKeyHash> parsed;
     const bool ok = load_image(path, &parsed);
+    // A missing file is a cold start, not a rejection: only an image that
+    // exists and cannot be read or verified counts.
+    const bool missing = !ok && ::access(path.c_str(), F_OK) != 0 && errno == ENOENT;
     std::lock_guard<std::mutex> lock(mutex_);
     if (!ok) {
-        ++counters_.load_rejected;
+        if (!missing) ++counters_.load_rejected;
         entries_.clear();  // discard: never serve from a half-trusted image
         return false;
     }

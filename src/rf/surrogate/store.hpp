@@ -153,7 +153,9 @@ class SurrogateStore {
     /// Replace this store's contents with the image at @p path.  Returns
     /// false — leaving the store EMPTY — when the file is missing, truncated,
     /// checksum-corrupt, wrong-magic or wrong-version; serving then degrades
-    /// to all-miss and the campaign refits from full simulation.
+    /// to all-miss and the campaign refits from full simulation.  A missing
+    /// file is a cold start and is not counted in load_rejected; every other
+    /// failure is.
     bool load(const std::string& path);
 
     /// Fold the stores at @p inputs (missing/corrupt files are skipped) plus

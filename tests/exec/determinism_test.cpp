@@ -4,10 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "circuit/montecarlo.hpp"
 #include "exec/campaign.hpp"
-#include "exec/montecarlo.hpp"
 #include "exec/thread_pool.hpp"
 #include "rf/random.hpp"
 
@@ -61,6 +62,24 @@ TEST(Determinism, DifferentSeedsDiffer) {
     EXPECT_NE(a, b);
 }
 
+/// The parallel twin of circuit::run_monte_carlo: the population is
+/// pre-sampled from one RNG up front, then the measurement closures fan out,
+/// each writing its own sample's slot.
+std::vector<circuit::MonteCarloSample> parallel_monte_carlo(
+    std::size_t trials, std::uint64_t seed,
+    const std::function<double(const circuit::ProcessCorner&)>& measure,
+    const CampaignOptions& options, TaskGraphResult* result) {
+    std::vector<circuit::MonteCarloSample> samples = circuit::presample_dies(trials, seed, {});
+    std::vector<DieChain> chains(samples.size());
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        chains[i].measurements.push_back({[&samples, &measure, i](TaskContext&) {
+            samples[i].value = measure(samples[i].corner);
+        }});
+    }
+    *result = run_campaign(chains, options);
+    return samples;
+}
+
 TEST(Determinism, ParallelMonteCarloMatchesSerialDriver) {
     // The parallel Monte-Carlo twin pre-samples the same population and must
     // reproduce the serial driver's samples exactly, corner and value both.
@@ -74,7 +93,7 @@ TEST(Determinism, ParallelMonteCarloMatchesSerialDriver) {
     CampaignOptions opts;
     opts.jobs = 8;
     TaskGraphResult result;
-    const auto parallel = run_monte_carlo(24, 99, {}, measure, opts, &result);
+    const auto parallel = parallel_monte_carlo(24, 99, measure, opts, &result);
 
     EXPECT_TRUE(result.ok());
     ASSERT_EQ(serial.size(), parallel.size());

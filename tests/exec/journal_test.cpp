@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace rfabm::exec {
@@ -186,6 +188,33 @@ TEST_F(JournalTest, CheckpointCadenceAndStats) {
     EXPECT_GE(stats.fsyncs, 2u);  // every 2nd append
     EXPECT_GT(stats.bytes_written, 0u);
     EXPECT_EQ(last_hook, 5u);
+}
+
+TEST_F(JournalTest, AppendHookRunsBeforeAnyOtherThreadAppends) {
+    // The crash-point injector SIGKILLs from this hook, so while it runs no
+    // other worker may append: the crash must land with exactly the records
+    // it names on disk.  Count them through the file, not through the writer.
+    constexpr std::uint64_t kAt = 5;
+    JournalWriter writer;
+    ASSERT_TRUE(writer.open_fresh(path_, {}));
+    std::size_t on_disk_at_hook = 0;
+    writer.set_append_hook([&](std::uint64_t appended) {
+        if (appended != kAt) return;
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        on_disk_at_hook = replay_journal(path_, 0).cells.size();
+    });
+    std::vector<std::thread> threads;
+    for (std::uint32_t t = 0; t < 4; ++t) {
+        threads.emplace_back([&writer, t] {
+            for (std::uint32_t i = 0; i < 8; ++i) {
+                writer.append_cell(make_record(t, i, 0, {double(i)}));
+            }
+        });
+    }
+    for (std::thread& th : threads) th.join();
+    writer.close();
+    EXPECT_EQ(on_disk_at_hook, kAt);
+    EXPECT_EQ(replay_journal(path_, 0).cells.size(), 32u);
 }
 
 TEST_F(JournalTest, DuplicateKeyLastRecordWins) {

@@ -8,8 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/queue.hpp"
-
 namespace rfabm::exec {
 namespace {
 
@@ -118,37 +116,6 @@ TEST(ThreadPool, SubstreamSeedsAreStreamSpecificAndStable) {
     EXPECT_NE(a0, a1);
     EXPECT_NE(a0, b0);
     EXPECT_EQ(a0, substream_seed(42, 0));  // pure function of (seed, id)
-}
-
-TEST(BoundedQueue, PushPopRoundTripsInOrder) {
-    BoundedQueue<int> q(4);
-    for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.push(i));
-    EXPECT_FALSE(q.try_push(99));  // full
-    for (int i = 0; i < 4; ++i) EXPECT_EQ(q.pop().value(), i);
-}
-
-TEST(BoundedQueue, CloseDrainsThenReturnsNullopt) {
-    BoundedQueue<int> q(4);
-    q.push(1);
-    q.close();
-    EXPECT_FALSE(q.push(2));
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, CancelledTokenUnblocksProducerAndConsumer) {
-    BoundedQueue<int> q(1);
-    CancellationSource source;
-    q.push(0);  // now full
-
-    std::thread producer([&] { EXPECT_FALSE(q.push(1, source.token())); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    source.cancel();
-    q.interrupt();
-    producer.join();
-
-    // Cancel wins over drain: the queued item is not delivered.
-    EXPECT_EQ(q.pop(source.token()), std::nullopt);
 }
 
 }  // namespace
