@@ -102,13 +102,16 @@ void BM_TransientStepRcLadder(benchmark::State& state) {
 }
 BENCHMARK(BM_TransientStepRcLadder);
 
-// One Newton iteration on the real chip: stamp every device, then solve,
-// at consecutive states of a running -7 dBm power read (a ring of 64 engine
-// solutions, one per iteration).  Arg 0 stamps with stamp_devices, as
-// newton_iterate does, so MnaSystem::solve re-eliminates only the cone of
-// the nonlinear entries; arg 1 stamps without marking them, so every solve
-// takes the full sparse replay; arg 2 solves the same assembled system with
-// the dense lu_solve_in_place reference.
+// One Newton iteration on the real chip: assemble, then solve, at
+// consecutive states of a running -7 dBm power read (a ring of 64 engine
+// solutions, one per iteration).  Arg 0 is newton_iterate's path: assemble()
+// through the system's kept plan, re-stamping the per-step devices on every
+// third state (a power read averages ~2.7 Newton iterations per step), then
+// MnaSystem::solve, which re-eliminates only the cone of the nonlinear
+// entries; arg 1 resets and stamps every device without marking the
+// nonlinear entries, so every solve takes the full sparse replay; arg 2
+// solves arg 1's assembled system with the dense lu_solve_in_place
+// reference.
 void BM_ChipNewtonIteration(benchmark::State& state) {
     const auto mode = state.range(0);
     core::RfAbmChip chip{core::RfAbmChipConfig{}};
@@ -134,25 +137,27 @@ void BM_ChipNewtonIteration(benchmark::State& state) {
     std::size_t next = 0;
     for (auto _ : state) {
         ctx.x = &states[next];
+        const bool step_start = next % 3 == 0;
         next = (next + 1) % states.size();
-        sys.reset(ckt.num_nodes(), ckt.num_branches());
-        if (mode == 1) {
-            for (const auto& dev : ckt.devices()) dev->stamp(sys, ctx);
-        } else {
-            circuit::stamp_devices(ckt, sys, ctx);
-        }
-        if (mode == 2) {
-            x = sys.rhs();
-            circuit::lu_solve_in_place(sys.matrix(), x);
-        } else {
+        if (mode == 0) {
+            circuit::assemble(ckt, sys, ctx, 0.0, step_start);
             sys.solve(x);
+        } else {
+            sys.reset(ckt.num_nodes(), ckt.num_branches());
+            for (const auto& dev : ckt.devices()) dev->stamp(sys, ctx);
+            if (mode == 2) {
+                x = sys.rhs();
+                circuit::lu_solve_in_place(sys.matrix(), x);
+            } else {
+                sys.solve(x);
+            }
         }
         benchmark::DoNotOptimize(x.data());
         benchmark::ClobberMemory();
     }
-    static constexpr const char* kLabels[] = {"MnaSystem::solve, cone refresh",
-                                              "MnaSystem::solve, full sparse replay",
-                                              "dense lu_solve_in_place"};
+    static constexpr const char* kLabels[] = {"assemble + MnaSystem::solve (newton_iterate)",
+                                              "stamp + MnaSystem::solve, full sparse replay",
+                                              "stamp + dense lu_solve_in_place"};
     state.SetLabel(kLabels[mode]);
     state.SetItemsProcessed(state.iterations());
     state.counters["unknowns"] = static_cast<double>(sys.dimension());

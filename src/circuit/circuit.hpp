@@ -5,6 +5,7 @@
 // device.  Analyses (dc.hpp, transient.hpp, ac.hpp) operate on a Circuit.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -23,6 +24,9 @@ namespace rfabm::circuit {
 class Circuit {
   public:
     Circuit() = default;
+    // Devices point at stamp_version_, so a circuit stays where it was built.
+    Circuit(const Circuit&) = delete;
+    Circuit& operator=(const Circuit&) = delete;
 
     /// Get or create the node with the given name.  "0" and "gnd" map to ground.
     NodeId node(const std::string& name);
@@ -48,11 +52,13 @@ class Circuit {
         }
         auto dev = std::make_unique<D>(name, std::forward<Args>(args)...);
         D& ref = *dev;
+        ref.set_stamp_version(&stamp_version_);
         ref.set_temperature(temperature_k_);
         ref.apply_process(corner_);
         index_.emplace(std::move(name), devices_.size());
         devices_.push_back(std::move(dev));
         finalized_ = false;
+        ++stamp_version_;
         return ref;
     }
 
@@ -92,6 +98,15 @@ class Circuit {
     /// strategy).
     bool has_nonlinear() const;
 
+    /// Counter that adding a device and every mutator of a matrix-constant
+    /// device bump; an assembly plan keyed on an older value stamps again.
+    std::uint64_t stamp_version() const { return stamp_version_; }
+
+    /// The system DC solves of this circuit assemble into, kept so repeated
+    /// operating points (session opens, sweeps) reuse its assembly and
+    /// elimination plans instead of compiling them per call.
+    MnaSystem& dc_system() { return dc_system_; }
+
   private:
     std::vector<std::string> names_{"0"};
     std::unordered_map<std::string, NodeId> node_ids_{{"0", kGround}, {"gnd", kGround}};
@@ -101,6 +116,8 @@ class Circuit {
     bool finalized_ = false;
     double temperature_k_ = kNominalTemperatureK;
     ProcessCorner corner_{};
+    std::uint64_t stamp_version_ = 0;
+    MnaSystem dc_system_;
 };
 
 }  // namespace rfabm::circuit

@@ -76,7 +76,7 @@ DcOutcome try_solve_dc(Circuit& circuit, const DcOptions& options, const Solutio
         result.solution = Solution(circuit.num_nodes(), circuit.num_branches());
     }
 
-    MnaSystem scratch;
+    MnaSystem& scratch = circuit.dc_system();
     StampContext ctx;
     ctx.mode = AnalysisMode::kDc;
     ctx.gmin = options.gmin;

@@ -5,8 +5,17 @@
 // devices keep companion-model history that analyses advance via init_state()
 // and accept_step().  Nonlinear devices may keep per-iteration limiting state,
 // which is why stamp() is non-const.
+//
+// Every device also declares a stamp role (StampRole, mna.hpp), which sets
+// how often a Newton loop's assembly plan calls its stamp(): once per plan
+// (matrix-constant), once per Newton solve (per-step) or every iteration
+// (per-iteration).  The default follows is_nonlinear(), so a device that
+// declares nothing is re-stamped at least once per solve and stays correct.
+// A device may declare StampRole::kConstant only if every mutator that can
+// change its stamp calls bump_stamp_version(): the plan notices nothing else.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,6 +70,17 @@ class Device {
     /// True if the device's stamp depends on the iterate (needs Newton).
     virtual bool is_nonlinear() const { return false; }
 
+    /// How often the device's stamp can change.  A nonlinear device is
+    /// always per-iteration; override only to declare a linear device
+    /// matrix-constant, and then bump the stamp version in every mutator.
+    virtual StampRole stamp_role() const {
+        return is_nonlinear() ? StampRole::kPerIteration : StampRole::kPerStep;
+    }
+
+    /// The counter bump_stamp_version() increments; Circuit::add attaches
+    /// the circuit's own.
+    void set_stamp_version(std::uint64_t* version) { stamp_version_ = version; }
+
     /// Nodes this device's terminals attach to, in the device's natural
     /// terminal order.  Used by connectivity analyses (ERC lint); an empty
     /// list means "opaque to connectivity checks".
@@ -91,9 +111,17 @@ class Device {
     /// Apply a die-level process corner.  Default: ignored.
     virtual void apply_process(const ProcessCorner& corner);
 
+  protected:
+    /// Mark the device's matrix-constant stamp as changed, so assembly plans
+    /// keyed on the old stamp version stamp it again.
+    void bump_stamp_version() {
+        if (stamp_version_ != nullptr) ++*stamp_version_;
+    }
+
   private:
     std::string name_;
     std::size_t first_branch_ = 0;
+    std::uint64_t* stamp_version_ = nullptr;
 };
 
 }  // namespace rfabm::circuit

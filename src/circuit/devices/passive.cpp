@@ -24,6 +24,7 @@ void Resistor::apply_process(const ProcessCorner& corner) {
     last_res_factor_ = corner.res_factor;
     effective_ohms_ =
         placement_ == Placement::kOnDie ? nominal_ohms_ * corner.res_factor : nominal_ohms_;
+    bump_stamp_version();
 }
 
 void Resistor::set_nominal(double ohms) {
@@ -31,6 +32,7 @@ void Resistor::set_nominal(double ohms) {
     nominal_ohms_ = ohms;
     effective_ohms_ =
         placement_ == Placement::kOnDie ? nominal_ohms_ * last_res_factor_ : nominal_ohms_;
+    bump_stamp_version();
 }
 
 // --------------------------------------------------------------- Capacitor

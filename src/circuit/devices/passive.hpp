@@ -21,6 +21,9 @@ class Resistor : public Device {
     Resistor(std::string name, NodeId a, NodeId b, double ohms,
              Placement placement = Placement::kOnDie);
 
+    /// Matrix-constant: apply_process() and set_nominal() bump the stamp
+    /// version.
+    StampRole stamp_role() const override { return StampRole::kConstant; }
     void stamp(MnaSystem& sys, const StampContext& ctx) override;
     void stamp_ac(ComplexMna& sys, double omega, const Solution& op) override;
     void apply_process(const ProcessCorner& corner) override;

@@ -24,6 +24,7 @@ void Switch::apply_process(const ProcessCorner& corner) {
     // process (higher K') gives a lower Ron.  Use the NMOS factor; the gate is
     // a parallel N/P pair so this is a first-order approximation.
     ron_eff_ = ron_nominal_ / corner.nmos_kp_factor;
+    bump_stamp_version();
 }
 
 }  // namespace rfabm::circuit

@@ -28,16 +28,28 @@ class Switch : public Device {
     /// on-die CMOS transmission gate.
     Switch(std::string name, NodeId a, NodeId b, double ron = 100.0, double roff = 1e9);
 
+    /// Matrix-constant: set_closed(), set_fault() and apply_process() bump
+    /// the stamp version.
+    StampRole stamp_role() const override { return StampRole::kConstant; }
     void stamp(MnaSystem& sys, const StampContext& ctx) override;
     void stamp_ac(ComplexMna& sys, double omega, const Solution& op) override;
     void apply_process(const ProcessCorner& corner) override;
 
-    void set_closed(bool closed) { closed_ = closed; }
+    /// Command the switch.  The digital domain re-applies its bindings every
+    /// step, so only a change of state bumps the stamp version.
+    void set_closed(bool closed) {
+        if (closed == closed_) return;
+        closed_ = closed;
+        bump_stamp_version();
+    }
     bool closed() const { return closed_; }
 
     /// Inject/clear a stuck-at defect.  The commanded state is retained so
     /// clearing the fault restores normal operation.
-    void set_fault(SwitchFault fault) { fault_ = fault; }
+    void set_fault(SwitchFault fault) {
+        fault_ = fault;
+        bump_stamp_version();
+    }
     SwitchFault fault() const { return fault_; }
 
     /// Electrically effective state: the defect overrides the control input.

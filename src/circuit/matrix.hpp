@@ -10,7 +10,9 @@
 // bit-identical to the dense one.  Between Newton iterations only the 13
 // entries the detector MOSFETs stamp change, so SparseLu keeps its last
 // elimination and, while every other entry is bitwise unchanged, redoes
-// only their elimination cone (644 of 1,262 row updates on the chip).
+// only their elimination cone (644 of 1,262 row updates on the chip).  A
+// caller that knows nothing else changed (MnaSystem's assembly plan) says
+// so, and the solve skips the checks that would prove it.
 // lu_solve_in_place remains the complex AC solver and the reference the
 // sparse path is tested against.
 #pragma once
@@ -230,27 +232,38 @@ class SparseLu {
     /// change, the more solves refresh.  @p a is left unchanged and @p b is
     /// consumed.  Throws SingularMatrixError with the column
     /// lu_solve_in_place would report.
+    ///
+    /// @p unchanged is the caller's guarantee that @p touched and @p dynamic
+    /// are the patterns of the previous solve and that every entry of @p a
+    /// outside @p dynamic is bitwise what it was then.  The solve then skips
+    /// the pattern checks and the comparison of the recorded inputs that
+    /// would prove it.
     void solve(const DenseMatrix<double>& a, std::vector<double>& b,
                const SparsityPattern& touched, const SparsityPattern& dynamic,
-               std::vector<double>& x) {
+               std::vector<double>& x, bool unchanged = false) {
         const std::size_t n = a.rows();
         if (a.cols() != n || b.size() != n || touched.size() != n || dynamic.size() != n) {
             throw std::invalid_argument("SparseLu::solve: shape mismatch");
         }
-        if (pattern_.size() != n) resize(n);
-        if (!touched.subset_of(pattern_) || !dynamic.subset_of(pattern_)) {
-            pattern_.merge(touched);
-            pattern_.merge(dynamic);
-            planned_ = 0;
-            scheduled_ = false;
+        if (pattern_.size() != n) {
+            resize(n);
+            unchanged = false;
         }
-        if (!dynamic.subset_of(dynamic_)) {
-            dynamic_.merge(dynamic);
-            scheduled_ = false;
+        if (!unchanged) {
+            if (!touched.subset_of(pattern_) || !dynamic.subset_of(pattern_)) {
+                pattern_.merge(touched);
+                pattern_.merge(dynamic);
+                planned_ = 0;
+                scheduled_ = false;
+            }
+            if (!dynamic.subset_of(dynamic_)) {
+                dynamic_.merge(dynamic);
+                scheduled_ = false;
+            }
         }
         ++solves_;
         bool refreshed = false;
-        if (scheduled_ && cached_ && inputs_unchanged(a.data())) {
+        if (scheduled_ && cached_ && (unchanged || inputs_unchanged(a.data()))) {
             rhs_ = b;
             refreshed = refresh(a.data(), b);
             if (!refreshed) b = rhs_;

@@ -35,10 +35,30 @@ bool check_converged(const Solution& prev, const std::vector<double>& next,
 
 void stamp_devices(Circuit& circuit, MnaSystem& sys, const StampContext& ctx) {
     for (const auto& dev : circuit.devices()) {
-        sys.mark_nonlinear(dev->is_nonlinear());
+        sys.mark_nonlinear(dev->stamp_role() == StampRole::kPerIteration);
         dev->stamp(sys, ctx);
     }
     sys.mark_nonlinear(false);
+}
+
+void assemble(Circuit& circuit, MnaSystem& sys, const StampContext& ctx, double extra_diag_gmin,
+              bool step_start) {
+    circuit.finalize();
+    MnaSystem::PlanKey key;
+    key.circuit = &circuit;
+    key.stamp_version = circuit.stamp_version();
+    key.nodes = circuit.num_nodes();
+    key.branches = circuit.num_branches();
+    key.mode = static_cast<int>(ctx.mode);
+    key.method = static_cast<int>(ctx.method);
+    key.dt = ctx.dt;
+    key.gmin = ctx.gmin;
+    key.source_scale = ctx.source_scale;
+    key.extra_diag_gmin = extra_diag_gmin;
+    const auto& devices = circuit.devices();
+    sys.assemble(
+        key, devices.size(), [&](std::size_t d) { return devices[d]->stamp_role(); },
+        [&](std::size_t d) { devices[d]->stamp(sys, ctx); }, step_start);
 }
 
 NewtonOutcome newton_iterate(Circuit& circuit, StampContext ctx, Solution& x,
@@ -52,15 +72,9 @@ NewtonOutcome newton_iterate(Circuit& circuit, StampContext ctx, Solution& x,
     ctx.limited = &limited;
     for (int iter = 0; iter < options.max_iterations; ++iter) {
         outcome.iterations = iter + 1;
-        scratch.reset(num_nodes, circuit.num_branches());
         ctx.x = &x;
         limited = false;
-        stamp_devices(circuit, scratch, ctx);
-        if (options.extra_diag_gmin > 0.0) {
-            for (NodeId n = 1; n < static_cast<NodeId>(num_nodes); ++n) {
-                scratch.add_node_diagonal(n, options.extra_diag_gmin);
-            }
-        }
+        assemble(circuit, scratch, ctx, options.extra_diag_gmin, iter == 0);
         try {
             scratch.solve(candidate);
         } catch (const SingularMatrixError&) {

@@ -42,13 +42,23 @@ struct NewtonOutcome {
 };
 
 /// Stamp every device of @p circuit into @p sys for @p ctx, marking the
-/// entries nonlinear devices write as MnaSystem::nonlinear().
+/// entries per-iteration devices write as MnaSystem::nonlinear().  The
+/// reference that assemble() must reproduce bit for bit.
 void stamp_devices(Circuit& circuit, MnaSystem& sys, const StampContext& ctx);
+
+/// Assemble @p sys for one Newton iteration at @p ctx through the assembly
+/// plan @p sys keeps (MnaSystem::assemble): the system reset() +
+/// stamp_devices() would give, plus @p extra_diag_gmin on every node
+/// diagonal when positive.  @p step_start marks the first iteration of a
+/// Newton solve, where per-step devices stamp again.
+void assemble(Circuit& circuit, MnaSystem& sys, const StampContext& ctx, double extra_diag_gmin,
+              bool step_start);
 
 /// Iterate the MNA system described by @p ctx (whose x pointer is managed by
 /// this function) starting from @p x until convergence.  @p x is updated in
-/// place with the best iterate.  @p scratch is reused across calls to avoid
-/// reallocation in transient inner loops.
+/// place with the best iterate.  @p scratch keeps its assembly plan and LU
+/// state across calls, so a transient engine that reuses it re-stamps only
+/// what changed since its last solve.
 NewtonOutcome newton_iterate(Circuit& circuit, StampContext ctx, Solution& x,
                              const NewtonOptions& options, MnaSystem& scratch);
 

@@ -60,8 +60,8 @@ bool ThreadPool::submit(std::function<void()> task) {
 bool ThreadPool::take_task(std::size_t index, std::function<void()>& task) {
     auto& own = queues_[index];
     if (!own.empty()) {
-        task = std::move(own.back());
-        own.pop_back();
+        task = std::move(own.front());
+        own.pop_front();
         return true;
     }
     const std::size_t n = queues_.size();

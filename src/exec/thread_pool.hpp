@@ -1,10 +1,14 @@
 // Work-stealing thread pool: the test floor's pool of measurement stations.
 //
-// Scheduling discipline is classic work stealing: one deque per worker,
-// owners pop LIFO from the back (locality along a die's task chain), thieves
-// take FIFO from the front (coarse, oldest work first); external submissions
-// round-robin across deques, submissions from inside a task stay on the
-// submitting worker's deque.
+// Scheduling discipline is work stealing with FIFO deques: one deque per
+// worker, external submissions round-robin across deques, submissions from
+// inside a task stay on the submitting worker's deque, and both the owner
+// and thieves take the oldest task (the front).  Classic work stealing pops
+// the owner's newest task instead, for cache locality along a task chain;
+// here a task is a die's calibration or read, each building or reusing its
+// own chip, so there is no locality to buy, and newest-first let a die's
+// reads overtake an older die's calibration queued on the same deque (5 dies
+// on 4 workers: the first calibration started after the last one's reads).
 //
 // Synchronization is deliberately coarse: every deque operation happens under
 // one pool mutex.  A task here is a circuit solve costing milliseconds to
@@ -67,8 +71,9 @@ class ThreadPool {
 
   private:
     void worker_loop(std::size_t index);
-    /// Pop from own deque (back) or steal (front of another's); pool_mutex_
-    /// must be held.  Returns false only when every deque is empty.
+    /// Take the oldest task of the own deque, else steal the oldest of
+    /// another's; pool_mutex_ must be held.  Returns false only when every
+    /// deque is empty.
     bool take_task(std::size_t index, std::function<void()>& task);
 
     std::vector<std::deque<std::function<void()>>> queues_;  // under pool_mutex_

@@ -84,9 +84,9 @@ TEST(TaskGraph, CancellationSkipsPendingNodesAndDrains) {
     TaskGraph graph;
     std::atomic<int> ran{0};
     // The root cancels the campaign; its 8 dependents are released only
-    // afterwards (a dependency edge, so the ordering is deterministic — the
-    // pool's LIFO own-queue pop makes "submitted first" mean nothing) and
-    // must all be skipped, with every node still accounted for.
+    // afterwards (a dependency edge, so the ordering does not rest on the
+    // pool's queue order) and must all be skipped, with every node still
+    // accounted for.
     const std::size_t root = graph.add([&](TaskContext&) {
         ran.fetch_add(1);
         source.cancel();

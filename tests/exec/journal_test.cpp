@@ -11,14 +11,15 @@
 #include <thread>
 #include <vector>
 
+#include "support/temp_path.hpp"
+
 namespace rfabm::exec {
 namespace {
 
 class JournalTest : public ::testing::Test {
   protected:
     void SetUp() override {
-        path_ = ::testing::TempDir() + "rfabm_journal_" +
-                ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".wal";
+        path_ = test::temp_path("journal.wal");
         std::remove(path_.c_str());
     }
     void TearDown() override { std::remove(path_.c_str()); }

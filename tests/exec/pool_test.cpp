@@ -1,10 +1,13 @@
-// Work-stealing thread pool: execution, stealing, backpressure, nesting.
+// Work-stealing thread pool: execution, order, stealing, backpressure, nesting.
 #include "exec/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -65,6 +68,42 @@ TEST(ThreadPool, WorkersStealWhenOneQueueIsLoaded) {
     if (std::thread::hardware_concurrency() > 1) {
         EXPECT_GT(pool.steals(), 0u);
     }
+}
+
+TEST(ThreadPool, OwnerRunsItsOldestTaskFirst) {
+    // Two die chains queued on one worker behind a running task: each
+    // calibration releases its reads from inside the pool.  The older
+    // calibration must start first, and both before the reads the first one
+    // released.  Newest-first ran cal_b and its reads before cal_a began.
+    ThreadPool::Options opts;
+    opts.workers = 1;
+    ThreadPool pool(opts);
+    std::latch blocker_running(1);
+    std::latch release(1);
+    std::mutex order_mutex;
+    std::vector<std::string> order;
+    const auto record = [&](const std::string& what) {
+        std::lock_guard lock(order_mutex);
+        order.push_back(what);
+    };
+    pool.submit([&] {
+        blocker_running.count_down();
+        release.wait();
+    });
+    blocker_running.wait();
+    for (const char* die : {"a", "b"}) {
+        pool.submit([&, die] {
+            record(std::string("cal_") + die);
+            for (const char* read : {"1", "2"}) {
+                pool.submit([&, die, read] { record(std::string("read_") + die + read); });
+            }
+        });
+    }
+    release.count_down();
+    pool.wait_idle();
+    const std::vector<std::string> expected{"cal_a",   "cal_b",   "read_a1", "read_a2",
+                                            "read_b1", "read_b2"};
+    EXPECT_EQ(order, expected);
 }
 
 TEST(ThreadPool, NestedSubmitFromWorkerDoesNotDeadlockOnFullQueue) {

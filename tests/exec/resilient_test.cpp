@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "support/temp_path.hpp"
+
 namespace rfabm::exec {
 namespace {
 
@@ -27,8 +29,7 @@ std::vector<double> synth_payload(std::uint32_t die, std::uint32_t env) {
 
 struct Fixture : ::testing::Test {
     void SetUp() override {
-        path = ::testing::TempDir() + "rfabm_resilient_" +
-               ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".wal";
+        path = test::temp_path("resilient.wal");
         std::remove(path.c_str());
     }
     void TearDown() override { std::remove(path.c_str()); }

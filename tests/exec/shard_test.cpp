@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "exec/journal.hpp"
+#include "support/temp_path.hpp"
 
 namespace rfabm::exec {
 namespace {
@@ -16,8 +17,7 @@ namespace {
 class ShardTest : public ::testing::Test {
   protected:
     void SetUp() override {
-        stem_ = ::testing::TempDir() + "rfabm_shard_" +
-                ::testing::UnitTest::GetInstance()->current_test_info()->name();
+        stem_ = test::temp_path("shard");
         for (const std::string& p : all_paths()) std::remove(p.c_str());
     }
     void TearDown() override {

@@ -12,6 +12,8 @@
 #include <sstream>
 #include <string>
 
+#include "support/temp_path.hpp"
+
 #ifndef CRASH_RESUME_HELPER
 #error "CRASH_RESUME_HELPER must point at the helper binary"
 #endif
@@ -45,11 +47,7 @@ class CrashResumeTest : public ::testing::TestWithParam<int> {
     void SetUp() override {
         // One stem per test case (the name already encodes the jobs param),
         // so ctest -j runs of sibling cases never share journals.
-        std::string name = ::testing::UnitTest::GetInstance()->current_test_info()->name();
-        for (char& c : name) {
-            if (c == '/') c = '_';
-        }
-        const std::string stem = ::testing::TempDir() + "rfabm_crashresume_" + name + "_";
+        const std::string stem = rfabm::test::temp_path("crashresume_");
         clean_journal = stem + "clean.wal";
         crash_journal = stem + "crash.wal";
         clean_out = stem + "clean.txt";

@@ -15,6 +15,7 @@
 #include "circuit/devices/sources.hpp"
 #include "circuit/transient.hpp"
 #include "exec/resilient.hpp"
+#include "support/temp_path.hpp"
 
 namespace rfabm::faults {
 namespace {
@@ -122,7 +123,7 @@ TEST(CrashPointFaultTest, HookArmsAtTheRequestedRecord) {
     // The SIGKILL itself is exercised by the kill-and-resume integration test
     // (crash_resume_test); here we verify arm/disarm plumbing with a benign
     // hook stand-in by re-pointing the writer's hook after disarm.
-    const std::string path = ::testing::TempDir() + "rfabm_crashpoint_probe.wal";
+    const std::string path = test::temp_path("crashpoint_probe.wal");
     std::remove(path.c_str());
     exec::JournalWriter writer;
     ASSERT_TRUE(writer.open_fresh(path, {}));

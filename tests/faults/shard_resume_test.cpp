@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "exec/shard.hpp"
+#include "support/temp_path.hpp"
 
 #ifndef CAMPAIGND_BIN
 #error "CAMPAIGND_BIN must point at the rfabm_campaignd binary"
@@ -68,12 +69,7 @@ class ShardResumeTest : public ::testing::TestWithParam<Topo> {
     void SetUp() override {
         // One stem per test CASE (the name already encodes the topology
         // param), so ctest -j runs of sibling cases never share journals.
-        std::string name =
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
-        for (char& c : name) {
-            if (c == '/') c = '_';
-        }
-        stem_ = ::testing::TempDir() + "rfabm_shardresume_" + name;
+        stem_ = rfabm::test::temp_path("shardresume");
         ref_stem_ = stem_ + "_ref";
         clean(stem_);
         clean(ref_stem_);
@@ -362,7 +358,7 @@ TEST(CampaigndInline, DegradedJournalCountsOnceInMetrics) {
     // --shards 1 runs the campaign inside the coordinator.  Its one journal
     // writer degrades at record 2, and the coordinator's metrics line must
     // count that writer exactly once.
-    const std::string stem = ::testing::TempDir() + "rfabm_inline_degraded";
+    const std::string stem = rfabm::test::temp_path("inline_degraded");
     const std::string log_path = stem + ".stderr";
     const std::string cmd = std::string(CAMPAIGND_BIN) + " --journal " + stem + " --out " +
                             stem + ".out --dies 6 --envs 4 --shards 1" +

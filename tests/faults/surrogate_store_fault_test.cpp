@@ -14,6 +14,7 @@
 #include "core/measurement.hpp"
 #include "rf/curve.hpp"
 #include "rf/surrogate/store.hpp"
+#include "support/temp_path.hpp"
 
 namespace rfabm::faults {
 namespace {
@@ -21,9 +22,7 @@ namespace {
 namespace sur = rfabm::rf::surrogate;
 namespace core = rfabm::core;
 
-std::string temp_path(const char* stem) {
-    return ::testing::TempDir() + "/" + stem + ".sur";
-}
+std::string temp_path(const char* stem) { return test::temp_path(std::string(stem) + ".sur"); }
 
 /// A store image with one fitted surface, as a sharded worker would leave it.
 void write_trained_store(const std::string& path) {

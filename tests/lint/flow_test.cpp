@@ -11,6 +11,7 @@
 #include "lint/flow/cache.hpp"
 #include "lint/flow/interpreter.hpp"
 #include "lint/flow/parser.hpp"
+#include "support/temp_path.hpp"
 
 namespace rfabm::lint::flow {
 namespace {
@@ -583,7 +584,7 @@ TEST(FlowCache, SuppressionsApplyAtReplayNotAtCaching) {
 
 TEST(FlowCache, CleanTicketsPersistAcrossLoadSave) {
     const CampaignProgram program = clean_program();
-    const std::string path = ::testing::TempDir() + "flow_cache_test.lintcache";
+    const std::string path = test::temp_path("flow_cache.lintcache");
     {
         FlowLintCache cache;
         Report report;
@@ -604,7 +605,7 @@ TEST(FlowCache, DirtyVerdictsAreNeverPersisted) {
     CampaignProgram bad;
     bad.reset().ir_scan(jtag::Instruction::kProbe).select(0, "00000011").calibrate(0)
         .measure(0, Detector::kPower);
-    const std::string path = ::testing::TempDir() + "flow_cache_dirty.lintcache";
+    const std::string path = test::temp_path("flow_cache_dirty.lintcache");
     {
         FlowLintCache cache;
         Report report;
@@ -622,7 +623,7 @@ TEST(FlowCache, DirtyVerdictsAreNeverPersisted) {
 }
 
 TEST(FlowCache, MalformedTicketFileIsRejected) {
-    const std::string path = ::testing::TempDir() + "flow_cache_bad.lintcache";
+    const std::string path = test::temp_path("flow_cache_bad.lintcache");
     {
         std::FILE* f = std::fopen(path.c_str(), "w");
         ASSERT_NE(f, nullptr);

@@ -3,6 +3,7 @@
 // and the journal-discipline persistence (save / load / shard merge).
 #include "rf/surrogate/store.hpp"
 #include "rf/surrogate/surface.hpp"
+#include "support/temp_path.hpp"
 
 #include <gtest/gtest.h>
 
@@ -34,9 +35,7 @@ std::vector<Sample> grid_samples() {
     return samples;
 }
 
-std::string temp_path(const char* stem) {
-    return ::testing::TempDir() + "/" + stem + ".sur";
-}
+std::string temp_path(const char* stem) { return test::temp_path(std::string(stem) + ".sur"); }
 
 TEST(ResponseSurface, FitRecoversSmoothResponseWithTightBound) {
     const ResponseSurface s = ResponseSurface::fit(grid_samples(), FitOptions{});
